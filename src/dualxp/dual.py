@@ -18,7 +18,6 @@ from .hitting import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     HittingSetInstance,
-    iterate_minimal_hitting_sets,
     minimal_hitting_set,
 )
 from .model import Classifier, Instance, ModelError
@@ -121,22 +120,17 @@ def verify_duality(axps: Sequence[frozenset[int]],
                    cxps: Sequence[frozenset[int]]) -> DualityReport:
     """Check that two complete families are exact minimal-hitting-set duals."""
     report = DualityReport()
-    universe = tuple(sorted(set().union(*axps, *cxps) if (axps or cxps) else set()))
     _check_hits(axps, cxps, "AXp", "CXp", report)
     _check_hits(cxps, axps, "CXp", "AXp", report)
     # exact dualization both ways
-    dual_of_cxps = set(iterate_minimal_hitting_sets(
-        HittingSetInstance(universe, tuple(cxps))
-    ))
+    dual_of_cxps = minimal_transversals(cxps)
     if dual_of_cxps != set(axps):
         report.violations.append(
             f"AXp family is not the exact dual of the CXp family: "
             f"expected {sorted(map(_format_set, dual_of_cxps))}, "
             f"got {sorted(map(_format_set, axps))}"
         )
-    dual_of_axps = set(iterate_minimal_hitting_sets(
-        HittingSetInstance(universe, tuple(axps))
-    ))
+    dual_of_axps = minimal_transversals(axps)
     if dual_of_axps != set(cxps):
         report.violations.append(
             f"CXp family is not the exact dual of the AXp family: "
@@ -144,6 +138,21 @@ def verify_duality(axps: Sequence[frozenset[int]],
             f"got {sorted(map(_format_set, cxps))}"
         )
     return report
+
+
+def minimal_transversals(family: Sequence[frozenset[int]]) -> set[frozenset[int]]:
+    """All minimal hitting sets of `family` by Berge's algorithm.
+
+    Sets are added one at a time: every partial transversal that misses the
+    new set is extended by each of its elements, then only the minimal
+    ones are kept.  A reference dualizer that shares no code with the
+    search in `hitting`.
+    """
+    transversals = {frozenset()}
+    for s in family:
+        grown = {t if t & s else t | {e} for t in transversals for e in s}
+        transversals = {t for t in grown if not any(o < t for o in grown)}
+    return transversals
 
 
 def _check_hits(first: Sequence[frozenset[int]], second: Sequence[frozenset[int]],

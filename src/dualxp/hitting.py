@@ -1,14 +1,22 @@
 """Exact minimal-hitting-set solver used by the dual enumeration engine.
 
-Depth-first search over include/exclude decisions in universe order, with a
-reachability prune and superset blocking, followed by a deterministic shrink
-pass.  Exact and deterministic for fixed input order; a node budget guards
-against desk-scale blowups.
+Each call maps the universe to bit positions once and works on Python `int`
+masks.  An explicit-stack depth-first search branches on the unhit set with
+the fewest still-allowed elements (ties go to the lowest set index): its
+allowed elements are tried in universe order, and each later sibling
+excludes the earlier ones, so no hitting set is reached twice.  A state is
+pruned when some unhit set has no allowed element left, and a child that
+covers a blocked set is dropped.  The first hitting set found is shrunk to
+a subset-minimal one by dropping elements in universe order.  With
+`smallest=True` the search is instead repeated under a growing cap on the
+chosen set's size (iterative deepening), with no shrink needed.  Exact and
+deterministic for fixed input order; a node budget (one node per popped
+search state) guards against desk-scale blowups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -43,81 +51,82 @@ def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
         return None  # an empty set can never be hit
     if any(not b for b in instance.blocked):
         return None  # every set is a superset of the empty blocked set
-    nodes = [0]
-
-    def tick() -> None:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
-
     universe = instance.universe
-    n = len(universe)
-    # element -> positions of to-hit sets it belongs to
-    member_of: dict[int, list[int]] = {e: [] for e in universe}
-    for i, s in enumerate(instance.to_hit):
+    bit = {e: 1 << i for i, e in enumerate(universe)}
+
+    def mask(s: frozenset[int]) -> int:
+        m = 0
         for e in s:
-            member_of[e].append(i)
+            m |= bit[e]
+        return m
 
-    def search(idx: int, chosen: list[int], unhit: set[int],
-               size_cap: Optional[int]) -> Optional[list[int]]:
-        tick()
-        if not unhit:
-            # additions are pruned against blocked, so chosen is clean here
-            return list(chosen)
-        if idx == n:
-            return None
-        if size_cap is not None and len(chosen) >= size_cap:
-            return None
-        # prune: some unhit set has no members among the remaining elements
-        remaining = set(universe[idx:])
-        for i in unhit:
-            if not (instance.to_hit[i] & remaining):
-                return None
-        e = universe[idx]
-        hits = [i for i in member_of[e] if i in unhit]
-        if hits:
-            chosen.append(e)
-            if not _covers_blocked(chosen, instance.blocked):
-                for i in hits:
-                    unhit.discard(i)
-                found = search(idx + 1, chosen, unhit, size_cap)
-                if found is not None:
-                    return found
-                for i in hits:
-                    unhit.add(i)
-            chosen.pop()
-        return search(idx + 1, chosen, unhit, size_cap)
+    sets = [mask(s) for s in instance.to_hit]
+    # element bit -> blocked masks containing it; a child adds one element,
+    # so only these can become covered
+    blocked_with: dict[int, list[int]] = {}
+    for b in map(mask, instance.blocked):
+        rest = b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            blocked_with.setdefault(low, []).append(b)
+    nodes = 0
 
-    all_unhit = set(range(len(instance.to_hit)))
-    if smallest:
-        for cap in range(0, n + 1):
-            found = search(0, [], set(all_unhit), cap)
-            if found is not None:
-                return frozenset(found)
+    def search(cap: Optional[int]) -> Optional[int]:
+        """First hitting set in search order with at most `cap` elements."""
+        nonlocal nodes
+        stack = [(0, (1 << len(universe)) - 1)]  # (chosen, allowed) masks
+        while stack:
+            chosen, allowed = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
+            unhit = [s & allowed for s in sets if not s & chosen]
+            if not unhit:
+                return chosen
+            if not all(unhit):
+                continue  # an unhit set has no allowed element left
+            if cap is not None and chosen.bit_count() >= cap:
+                continue
+            branch = min(unhit, key=int.bit_count)  # first of the fewest
+            children = []
+            while branch:
+                low = branch & -branch
+                branch ^= low
+                child = chosen | low
+                if not any(b & child == b for b in blocked_with.get(low, ())):
+                    children.append((child, allowed))
+                allowed ^= low  # later siblings exclude this element
+            stack.extend(reversed(children))
         return None
-    found = search(0, [], set(all_unhit), None)
+
+    if smallest:
+        for cap in range(len(universe) + 1):
+            found = search(cap)
+            if found is not None:
+                break
+    else:
+        found = search(None)
+        if found is not None:
+            found = _shrink(found, sets)
     if found is None:
         return None
-    return frozenset(_shrink(found, instance))
+    return frozenset(e for e, b in bit.items() if found & b)
 
 
-def _covers_blocked(chosen: Sequence[int], blocked) -> bool:
-    cs = set(chosen)
-    return any(b <= cs for b in blocked)
-
-
-def _shrink(chosen: list[int], instance: HittingSetInstance) -> list[int]:
+def _shrink(chosen: int, sets: list[int]) -> int:
     """Drop elements in universe order while the set still hits everything.
 
     Shrinking can only shed supersets, so blocked-avoidance is preserved.
     """
-    current = list(chosen)
-    for e in list(current):
-        trial = [x for x in current if x != e]
-        ts = set(trial)
-        if all(s & ts for s in instance.to_hit):
-            current = trial
-    return current
+    rest = chosen
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        trial = chosen ^ low
+        if all(s & trial for s in sets):
+            chosen = trial
+    return chosen
 
 
 def iterate_minimal_hitting_sets(instance: HittingSetInstance, smallest: bool = False,

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualxp.dual import minimal_transversals
 from dualxp.hitting import (
     BudgetExceeded,
     HittingSetInstance,
@@ -86,8 +87,9 @@ def test_iterated_enumeration_matches_exhaustive():
             set(rng.sample(universe, rng.randint(1, n)))
             for _ in range(rng.randint(1, 10))
         ]
-        got = set(iterate_minimal_hitting_sets(hs(universe, to_hit)))
-        assert got == exhaustive_minimal_hitting_sets(universe, to_hit)
+        expected = exhaustive_minimal_hitting_sets(universe, to_hit)
+        assert set(iterate_minimal_hitting_sets(hs(universe, to_hit))) == expected
+        assert minimal_transversals([frozenset(s) for s in to_hit]) == expected
 
 
 @given(st.data())
@@ -116,3 +118,36 @@ def test_smallest_is_minimum_cardinality():
         smallest = minimal_hitting_set(hs(universe, to_hit), smallest=True)
         family = exhaustive_minimal_hitting_sets(universe, to_hit)
         assert len(smallest) == min(len(h) for h in family)
+
+
+def test_large_universe_needs_no_recursion():
+    # a search with one stack frame per element would pass the
+    # interpreter's recursion limit here
+    universe = list(range(1500))
+    to_hit = [{e, e + 700} for e in range(0, 1500 - 700, 100)] + [{1499}]
+    found = minimal_hitting_set(hs(universe, to_hit))
+    assert found is not None
+    assert all(found & frozenset(s) for s in to_hit)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_blocked_search_matches_berge_reference(data):
+    n = data.draw(st.integers(1, 20))
+    universe = data.draw(st.permutations(range(n)))
+    subsets = st.sets(st.integers(0, n - 1), min_size=1, max_size=10)
+    to_hit = [frozenset(s) for s in data.draw(st.lists(subsets, min_size=1, max_size=10))]
+    blocked = [frozenset(b) for b in data.draw(st.lists(subsets, min_size=1, max_size=6))]
+    inst = hs(universe, to_hit, blocked)
+    allowed = {
+        t for t in minimal_transversals(to_hit)
+        if not any(b <= t for b in blocked)
+    }
+    found = minimal_hitting_set(inst)
+    smallest = minimal_hitting_set(inst, smallest=True)
+    if not allowed:
+        assert found is None and smallest is None
+        return
+    assert found in allowed
+    assert smallest in allowed
+    assert len(smallest) == min(len(t) for t in allowed)
