@@ -6,7 +6,7 @@ from .dual import (
     brute_force_corrections,
     brute_force_explanations,
     enumerate_all,
-    enumerate_cxps,
+    iterate_explanations,
     verify_duality,
 )
 from .explain import (
@@ -43,8 +43,8 @@ __all__ = [
     "HittingSetInstance", "Instance", "Literal", "ModelError", "Oracle",
     "OracleStats", "ParseError", "PartialAssignment", "SearchSpaceExceeded",
     "brute_force_corrections", "brute_force_explanations", "check_axp",
-    "check_cxp", "cxp_witness", "enumerate_all", "enumerate_cxps",
-    "extract_axp", "extract_cxp", "make_problem", "minimal_hitting_set",
+    "check_cxp", "cxp_witness", "enumerate_all", "extract_axp",
+    "extract_cxp", "iterate_explanations", "make_problem", "minimal_hitting_set",
     "parse_instances", "parse_model", "serialize_model", "targeted_cxp",
     "validate", "validated", "verify_duality",
 ]

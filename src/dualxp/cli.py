@@ -7,14 +7,15 @@ overrides both the ensemble completion cap and the hitting-set node budget.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dual import BudgetExceeded, enumerate_all, enumerate_cxps, verify_duality
-from .explain import cxp_witness, extract_axp, extract_cxp, make_problem, targeted_cxp
+from .dual import BudgetExceeded, enumerate_all, iterate_explanations, verify_duality
+from .explain import AXp, CXp, cxp_witness, extract_axp, extract_cxp, make_problem, targeted_cxp
 from .hitting import DEFAULT_NODE_BUDGET
 from .model import Classifier, FeatureSpace, Instance, ModelError, PartialAssignment
 from .modelio import ParseError, parse_instances, parse_model
@@ -39,6 +40,18 @@ def _budget() -> Optional[int]:
         return value
     except ValueError:
         raise ParseError(f"XDUAL_BUDGET must be a positive integer, got {raw!r}")
+
+
+def _mhs_budget() -> int:
+    """The hitting-set node budget: XDUAL_BUDGET when set, else the default."""
+    return _budget() or DEFAULT_NODE_BUDGET
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return value
 
 
 def _load(args) -> tuple[Classifier, list[Instance]]:
@@ -140,37 +153,32 @@ def cmd_cxp(args) -> int:
     return EXIT_OK
 
 
+def _kind(explanation) -> str:
+    return "axp" if isinstance(explanation, AXp) else "cxp"
+
+
 def cmd_enum(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
     space = classifier.space
-    budget = _budget()
+    mhs_budget = _mhs_budget()
     for row, instance in enumerate(instances):
         oracle = _oracle(classifier)
         problem = make_problem(oracle, instance)
-        records = []
+        found = iterate_explanations(problem, order=order, smallest=args.smallest,
+                                     mhs_budget=mhs_budget)
         if args.mode == "cxp":
-            for cxp in enumerate_cxps(problem, order=order):
-                records.append(("cxp", cxp.features))
-                if args.limit and len(records) >= args.limit:
-                    break
-        else:
-            axps, cxps = enumerate_all(
-                problem, order=order, smallest=args.smallest,
-                mhs_budget=budget or DEFAULT_NODE_BUDGET,
-            )
-            records = [("axp", a.features) for a in axps]
-            records += [("cxp", c.features) for c in cxps]
-            if args.limit:
-                records = records[:args.limit]
+            found = (e for e in found if isinstance(e, CXp))
+        records = itertools.islice(found, args.limit or None)
         if args.sort_size:
-            records.sort(key=lambda r: (len(r[1]), r[0], sorted(r[1])))
-        for kind, features in records:
+            records = sorted(records, key=lambda e: (
+                len(e.features), _kind(e), sorted(e.features)))
+        for explanation in records:
             print(json.dumps({
                 "row": row,
-                "kind": kind,
+                "kind": _kind(explanation),
                 "class": classifier.classes[problem.predicted],
-                "literals": _literals_json(features, instance, space),
+                "literals": _literals_json(explanation.features, instance, space),
             }))
     return EXIT_OK
 
@@ -178,11 +186,12 @@ def cmd_enum(args) -> int:
 def cmd_verify(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
+    mhs_budget = _mhs_budget()
     failed = False
     for row, instance in enumerate(instances):
         oracle = _oracle(classifier)
         problem = make_problem(oracle, instance)
-        axps, cxps = enumerate_all(problem, order=order)
+        axps, cxps = enumerate_all(problem, order=order, mhs_budget=mhs_budget)
         report = verify_duality(
             [a.features for a in axps], [c.features for c in cxps]
         )
@@ -245,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enum", help="stream explanations as JSON lines")
     common(p)
     p.add_argument("--mode", choices=["cxp", "all"], default="all")
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", type=_count, default=0,
                    help="stop after N explanations per row (0 = no limit)")
     p.add_argument("--sort-size", action="store_true",
                    help="sort each row's output by explanation size")

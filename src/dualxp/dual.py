@@ -1,19 +1,20 @@
-"""Enumeration engines built on the AXp/CXp hitting-set duality, plus the
+"""The joint enumerator built on the AXp/CXp hitting-set duality, plus the
 duality verifier and brute-force reference implementations.
 
 The joint enumerator follows the implicit-hitting-set scheme: propose a
 minimal hitting set of the correction sets found so far (avoiding supersets
 of known sufficient sets); if it entails the prediction it is a new AXp,
 otherwise the counterexample seeds the growth of a new CXp disjoint from the
-candidate, guaranteeing progress.
+candidate, guaranteeing progress.  It is the only enumeration loop: a
+CXp-only enumeration is its output with the AXps left out.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
-from .explain import AXp, CXp, ExplanationProblem, _grow_correction, _order, extract_cxp
+from .explain import AXp, CXp, ExplanationProblem, _grow_correction, _order
 from .hitting import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
@@ -42,29 +43,19 @@ class EnumerationState:
     iterations: int = 0
 
 
-def enumerate_cxps(problem: ExplanationProblem,
-                   order: Optional[Sequence[int]] = None) -> Iterator[CXp]:
-    """Every basic CXp exactly once, via iterated blocked extraction."""
-    blocked: list[frozenset[int]] = []
-    while True:
-        cxp = extract_cxp(problem, blocked=blocked, order=order)
-        if cxp is None:
-            return
-        yield cxp
-        blocked.append(cxp.features)
+def iterate_explanations(problem: ExplanationProblem,
+                         order: Optional[Sequence[int]] = None,
+                         smallest: bool = False,
+                         mhs_budget: int = DEFAULT_NODE_BUDGET,
+                         max_explanations: int = DEFAULT_MAX_EXPLANATIONS,
+                         state: Optional[EnumerationState] = None,
+                         ) -> Iterator[Union[AXp, CXp]]:
+    """Yield every AXp and every basic CXp exactly once, each as it is found.
 
-
-def enumerate_all(problem: ExplanationProblem,
-                  order: Optional[Sequence[int]] = None,
-                  smallest: bool = False,
-                  mhs_budget: int = DEFAULT_NODE_BUDGET,
-                  max_explanations: int = DEFAULT_MAX_EXPLANATIONS,
-                  state: Optional[EnumerationState] = None,
-                  ) -> tuple[list[AXp], list[CXp]]:
-    """Complete enumeration of both explanation families.
-
-    With `smallest=True` candidates are minimum-cardinality hitting sets, so
-    AXps come out in non-decreasing size order.
+    Each explanation is also appended to `state`, so a caller that stops
+    early still sees what was found and how many iterations it took.  With
+    `smallest=True` candidates are minimum-cardinality hitting sets, so AXps
+    come out in non-decreasing size order.
     """
     ord_ = _order(problem, order)
     tau = problem.instance
@@ -83,24 +74,43 @@ def enumerate_all(problem: ExplanationProblem,
             budget=mhs_budget,
         )
         if candidate is None:
-            return state.axps, state.cxps
+            return
         witness = oracle.find_counterexample(tau.restrict(candidate), problem.targets)
         if witness is None:
             # candidate entails the prediction; minimality among hitting sets
             # of the full CXp family makes it a minimal sufficient set
-            state.axps.append(AXp(candidate))
+            found: Union[AXp, CXp] = AXp(candidate)
+            state.axps.append(found)
         else:
             # fix everything the witness agrees with (a superset of the
             # candidate's complement stays released), grow, and the resulting
             # CXp is disjoint from the candidate: progress is guaranteed
             kept = {f for f in ord_ if witness.values[f] == tau.values[f]}
-            cxp = _grow_correction(problem, kept, ord_, witness)
-            assert cxp is not None
-            state.cxps.append(cxp)
+            found = _grow_correction(problem, kept, ord_, witness)
+            assert found is not None
+            state.cxps.append(found)
         if len(state.axps) + len(state.cxps) > max_explanations:
             raise BudgetExceeded(
                 f"more than {max_explanations} explanations reported"
             )
+        yield found
+
+
+def enumerate_all(problem: ExplanationProblem,
+                  order: Optional[Sequence[int]] = None,
+                  smallest: bool = False,
+                  mhs_budget: int = DEFAULT_NODE_BUDGET,
+                  max_explanations: int = DEFAULT_MAX_EXPLANATIONS,
+                  state: Optional[EnumerationState] = None,
+                  ) -> tuple[list[AXp], list[CXp]]:
+    """Complete enumeration of both explanation families, in discovery
+    order within each family (see `iterate_explanations`)."""
+    if state is None:
+        state = EnumerationState()
+    for _ in iterate_explanations(problem, order, smallest, mhs_budget,
+                                  max_explanations, state):
+        pass
+    return state.axps, state.cxps
 
 
 @dataclass
@@ -177,31 +187,17 @@ def _check_hits(first: Sequence[frozenset[int]], second: Sequence[frozenset[int]
             )
 
 
-def _sufficient(classifier: Classifier, instance: Instance,
-                keep: frozenset[int], predicted: int) -> bool:
-    """Exhaustive completion check, independent of the traversal oracle."""
+def _completion_predictions(classifier: Classifier, instance: Instance,
+                            keep: frozenset[int]) -> Iterator[int]:
+    """Raw prediction of every completion of the features in `keep`, by
+    exhaustive enumeration, independent of the traversal oracle."""
     space = classifier.space
     free = [f for f in range(space.n_features) if f not in keep]
     for combo in itertools.product(*(range(space.domain_size(f)) for f in free)):
         values = list(instance.values)
         for f, v in zip(free, combo):
             values[f] = v
-        if raw_predict(classifier, tuple(values)) != predicted:
-            return False
-    return True
-
-
-def _reaches(classifier: Classifier, instance: Instance,
-             keep: frozenset[int], targets: frozenset[int]) -> bool:
-    space = classifier.space
-    free = [f for f in range(space.n_features) if f not in keep]
-    for combo in itertools.product(*(range(space.domain_size(f)) for f in free)):
-        values = list(instance.values)
-        for f, v in zip(free, combo):
-            values[f] = v
-        if raw_predict(classifier, tuple(values)) in targets:
-            return True
-    return False
+        yield raw_predict(classifier, tuple(values))
 
 
 def _minimal_family(candidates: list[frozenset[int]]) -> list[frozenset[int]]:
@@ -226,15 +222,17 @@ def brute_force_explanations(classifier: Classifier, instance: Instance,
     sufficient = []
     for r in range(n + 1):
         for combo in itertools.combinations(all_features, r):
-            if _sufficient(classifier, instance, frozenset(combo), predicted):
+            predictions = _completion_predictions(classifier, instance, frozenset(combo))
+            if all(p == predicted for p in predictions):
                 sufficient.append(frozenset(combo))
     axps = _minimal_family(sufficient)
     corrections = []
     for r in range(1, n + 1):
         for combo in itertools.combinations(all_features, r):
             rho = frozenset(combo)
-            if not _sufficient(classifier, instance,
-                               frozenset(all_features) - rho, predicted):
+            predictions = _completion_predictions(
+                classifier, instance, frozenset(all_features) - rho)
+            if any(p != predicted for p in predictions):
                 corrections.append(rho)
     cxps = _minimal_family(corrections)
     return axps, cxps
@@ -251,6 +249,7 @@ def brute_force_corrections(classifier: Classifier, instance: Instance,
     for r in range(1, n + 1):
         for combo in itertools.combinations(sorted(all_features), r):
             rho = frozenset(combo)
-            if _reaches(classifier, instance, all_features - rho, targets):
+            predictions = _completion_predictions(classifier, instance, all_features - rho)
+            if any(p in targets for p in predictions):
                 found.append(rho)
     return _minimal_family(found)

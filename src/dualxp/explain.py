@@ -7,10 +7,9 @@ to skip queries that cannot fail.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .hitting import HittingSetInstance, iterate_minimal_hitting_sets
 from .model import Instance, ModelError, PartialAssignment
 from .oracle import Oracle
 
@@ -148,36 +147,17 @@ def _grow_correction(problem: ExplanationProblem, kept: set[int],
 
 
 def extract_cxp(problem: ExplanationProblem,
-                blocked: Iterable[frozenset[int]] = (),
                 order: Optional[Sequence[int]] = None) -> Optional[CXp]:
-    """One basic CXp not covering any blocked (previously reported) CXp, or
-    None when every remaining correction is blocked.
-
-    A returned CXp must keep at least one feature of each blocked set fixed,
-    so the kept set is seeded with a minimal hitting set of the blocked
-    collection; candidate seeds are tried in deterministic order.
-    """
-    ord_ = _order(problem, order)
-    blocked = tuple(frozenset(b) for b in blocked)
-    if not blocked:
-        seeds: Iterable[frozenset[int]] = (frozenset(),)
-    else:
-        seeds = iterate_minimal_hitting_sets(
-            HittingSetInstance(tuple(ord_), blocked)
-        )
-    for seed in seeds:
-        cxp = _grow_correction(problem, set(seed), ord_, witness=None)
-        if cxp is not None:
-            return cxp
-    return None
+    """One CXp into `problem.targets`, or None when no instance at all
+    predicts into them.  Features are fixed to their instance values in
+    `order` while the targets stay reachable; the rest form the CXp."""
+    return _grow_correction(problem, set(), _order(problem, order), witness=None)
 
 
 def targeted_cxp(problem: ExplanationProblem,
                  order: Optional[Sequence[int]] = None) -> CXp:
-    """Fix features to their instance values while the target classes stay
-    reachable; the features left unfixed form the targeted CXp."""
-    ord_ = _order(problem, order)
-    cxp = _grow_correction(problem, set(), ord_, witness=None)
+    """`extract_cxp` for a chosen target-class set, which may be unreachable."""
+    cxp = extract_cxp(problem, order)
     if cxp is None:
         raise TargetUnreachable(
             "no instance predicts into the requested target classes"

@@ -101,30 +101,15 @@ class PartialAssignment:
     def of(pairs: Iterable[tuple[int, int]]) -> "PartialAssignment":
         return PartialAssignment(frozenset(Literal(f, v) for f, v in pairs))
 
-    def value_of(self, feature: int) -> Optional[int]:
-        for l in self.literals:
-            if l.feature == feature:
-                return l.value
-        return None
-
     @property
     def features(self) -> frozenset[int]:
         return frozenset(l.feature for l in self.literals)
-
-    def with_literal(self, literal: Literal) -> "PartialAssignment":
-        return PartialAssignment(self.literals | {literal})
-
-    def union(self, other: "PartialAssignment") -> "PartialAssignment":
-        return PartialAssignment(self.literals | other.literals)
 
     def restrict(self, keep: Iterable[int]) -> "PartialAssignment":
         keep = set(keep)
         return PartialAssignment(
             frozenset(l for l in self.literals if l.feature in keep)
         )
-
-    def issubset(self, other: "PartialAssignment") -> bool:
-        return self.literals <= other.literals
 
     def __len__(self) -> int:
         return len(self.literals)
@@ -226,22 +211,35 @@ def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,
     if not (0 <= tree.root < n):
         problems.append(f"{where}: root id {tree.root} out of range")
         return
-    # DFS from root; detect cycles, repeated path features, non-total children
+    # DFS from root with an explicit stack; detect cycles, repeated path
+    # features, non-total children.  Entries are (parent, node); a split's
+    # id and feature stay on the path until its (split, None) entry is
+    # popped, after all its descendants.
     visited: set[int] = set()
-
-    def walk(node_id: int, path_feats: set[int], on_path: set[int]) -> None:
+    on_path: set[int] = set()
+    path_feats = [0] * space.n_features  # splits on each feature along the path
+    stack: list[tuple[int, Optional[int]]] = [(-1, tree.root)]
+    while stack:
+        parent, node_id = stack.pop()
+        if node_id is None:
+            on_path.discard(parent)
+            path_feats[tree.nodes[parent].feature] -= 1
+            continue
+        if not (0 <= node_id < n):
+            problems.append(f"{where}: node {parent} child id {node_id} out of range")
+            continue
         if node_id in on_path:
             problems.append(f"{where}: cycle through node {node_id}")
-            return
+            continue
         visited.add(node_id)
         node = tree.nodes[node_id]
         if isinstance(node, Leaf):
             leaf_check(node_id, node)
-            return
+            continue
         if not (0 <= node.feature < space.n_features):
             problems.append(f"{where}: node {node_id} feature index out of range")
-            return
-        if node.feature in path_feats:
+            continue
+        if path_feats[node.feature]:
             problems.append(
                 f"{where}: feature '{space.names[node.feature]}' repeats on the "
                 f"path to node {node_id}"
@@ -252,14 +250,11 @@ def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,
                 f"'{space.names[node.feature]}' "
                 f"({len(node.children)} of {space.domain_size(node.feature)})"
             )
-            return
-        for child in node.children:
-            if not (0 <= child < n):
-                problems.append(f"{where}: node {node_id} child id {child} out of range")
-                continue
-            walk(child, path_feats | {node.feature}, on_path | {node_id})
-
-    walk(tree.root, set(), set())
+            continue
+        on_path.add(node_id)
+        path_feats[node.feature] += 1
+        stack.append((node_id, None))
+        stack.extend((node_id, child) for child in reversed(node.children))
     unreachable = set(range(n)) - visited
     if unreachable:
         problems.append(
@@ -271,18 +266,15 @@ def validate(classifier: Classifier) -> list[str]:
     """Structural validation; returns the list of problems (empty means ok)."""
     problems: list[str] = []
     space = classifier.space
+    if len(classifier.classes) < 2:
+        problems.append("fewer than two classes")
     if isinstance(classifier, DecisionTree):
-        if len(classifier.classes) < 2:
-            problems.append("fewer than two classes")
-
         def leaf_check(node_id: int, leaf: Leaf) -> None:
             if not (0 <= leaf.value < len(classifier.classes)):
                 problems.append(f"tree: leaf {node_id} class index {leaf.value} out of range")
 
         _check_tree(space, classifier.tree, "tree", leaf_check, problems)
     else:
-        if len(classifier.classes) < 2:
-            problems.append("fewer than two classes")
         if len(classifier.trees) != len(classifier.classes):
             problems.append(
                 f"ensemble: {len(classifier.trees)} tree groups for "

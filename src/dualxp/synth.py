@@ -3,7 +3,7 @@ synthetic ensemble used by the desk-scale statistics harness."""
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     AdditiveEnsemble,
@@ -27,15 +27,18 @@ def random_space(rng: random.Random, n_features: int,
     return FeatureSpace(names, domains)
 
 
-def random_tree(rng: random.Random, space: FeatureSpace, n_classes: int,
-                max_depth: int = 4, leaf_prob: float = 0.3) -> DecisionTree:
-    """A random decision tree; features never repeat on a path.  The result
-    may be constant or ignore features entirely, both of which are legal."""
+def _random_structure(rng: random.Random, space: FeatureSpace, max_depth: int,
+                      leaf_value: Callable[[], int],
+                      leaf_prob: Optional[float] = None) -> TreeStructure:
+    """A random tree in which features never repeat on a path.  A branch
+    ends in a leaf carrying `leaf_value()` at `max_depth`, when no feature is
+    left, or, if `leaf_prob` is given, with that probability at each node."""
     nodes: list[Node] = []
 
     def build(available: list[int], depth: int) -> int:
-        if not available or depth >= max_depth or rng.random() < leaf_prob:
-            nodes.append(Leaf(rng.randrange(n_classes)))
+        if (not available or depth >= max_depth
+                or (leaf_prob is not None and rng.random() < leaf_prob)):
+            nodes.append(Leaf(leaf_value()))
             return len(nodes) - 1
         feature = rng.choice(available)
         rest = [f for f in available if f != feature]
@@ -46,34 +49,23 @@ def random_tree(rng: random.Random, space: FeatureSpace, n_classes: int,
         return len(nodes) - 1
 
     root = build(list(range(space.n_features)), 0)
+    return TreeStructure(tuple(nodes), root)
+
+
+def random_tree(rng: random.Random, space: FeatureSpace, n_classes: int,
+                max_depth: int = 4, leaf_prob: float = 0.3) -> DecisionTree:
+    """A random decision tree.  The result may be constant or ignore
+    features entirely, both of which are legal."""
+    tree = _random_structure(rng, space, max_depth,
+                             lambda: rng.randrange(n_classes), leaf_prob)
     classes = tuple(f"c{i}" for i in range(n_classes))
-    return DecisionTree(space, classes, TreeStructure(tuple(nodes), root))
+    return DecisionTree(space, classes, tree)
 
 
 def random_instance(rng: random.Random, space: FeatureSpace) -> Instance:
     return Instance(tuple(
         rng.randrange(space.domain_size(f)) for f in range(space.n_features)
     ))
-
-
-def _random_regressor(rng: random.Random, space: FeatureSpace, depth: int,
-                      score_range: int) -> TreeStructure:
-    nodes: list[Node] = []
-
-    def build(available: list[int], d: int) -> int:
-        if not available or d >= depth:
-            nodes.append(Leaf(rng.randint(-score_range, score_range)))
-            return len(nodes) - 1
-        feature = rng.choice(available)
-        rest = [f for f in available if f != feature]
-        children = tuple(
-            build(rest, d + 1) for _ in range(space.domain_size(feature))
-        )
-        nodes.append(Split(feature, children))
-        return len(nodes) - 1
-
-    root = build(list(range(space.n_features)), 0)
-    return TreeStructure(tuple(nodes), root)
 
 
 def synthetic_ensemble(seed: int = 20240817, n_features: int = 10,
@@ -86,9 +78,12 @@ def synthetic_ensemble(seed: int = 20240817, n_features: int = 10,
         tuple(f"f{i}" for i in range(n_features)),
         tuple(("0", "1") for _ in range(n_features)),
     )
+    def score() -> int:
+        return rng.randint(-score_range, score_range)
+
     groups = tuple(
         tuple(
-            _random_regressor(rng, space, depth, score_range)
+            _random_structure(rng, space, depth, score)
             for _ in range(trees_per_class)
         )
         for _ in range(n_classes)

@@ -163,6 +163,44 @@ def test_budget_exit_code(capsys, tmp_path, monkeypatch):
     assert code == 4
 
 
+def test_budget_reaches_hitting_set_solver(capsys, monkeypatch, poole_file,
+                                           e2_file):
+    monkeypatch.setenv("XDUAL_BUDGET", "1")
+    for argv in (["verify"], ["enum", "--mode", "cxp"], ["enum", "--mode", "all"]):
+        code, _, err = run(capsys, *argv, "-m", poole_file, "-i", e2_file)
+        assert code == 4, argv
+        assert "exceeded 1 nodes" in err
+
+
+def test_enum_negative_limit_is_usage_error(capsys, poole_file, e2_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["enum", "-m", poole_file, "-i", e2_file, "--limit", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_deep_split_chain_is_a_validation_error(capsys, tmp_path):
+    # 3,000 nested splits on one feature: validation must report the
+    # repeats instead of overflowing the Python stack
+    depth = 3000
+    nodes = []
+    for i in range(depth):
+        nodes.append({"feature": "X", "children": {"a": 2 * i + 2, "b": 2 * i + 1}})
+        nodes.append({"class": "yes"})
+    nodes.append({"class": "no"})
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps({
+        "format_version": 1, "kind": "tree",
+        "features": [{"name": "X", "domain": ["a", "b"]}],
+        "classes": ["yes", "no"], "root": 0, "nodes": nodes,
+    }))
+    inst = tmp_path / "x.csv"
+    inst.write_text("X\na\n")
+    code, _, err = run(capsys, "predict", "-m", str(model), "-i", str(inst))
+    assert code == 3
+    assert err.count("repeats on the path") == depth - 1
+
+
 def test_byte_stability(capsys, poole_file, all16_file):
     outputs = []
     for _ in range(2):

@@ -2,13 +2,14 @@ import pytest
 
 from conftest import A, L, T, W
 from dualxp.dual import (
+    EnumerationState,
     TooLarge,
     brute_force_explanations,
     enumerate_all,
-    enumerate_cxps,
+    iterate_explanations,
     verify_duality,
 )
-from dualxp.explain import check_axp, check_cxp, make_problem
+from dualxp.explain import CXp, check_axp, check_cxp, make_problem
 from dualxp.model import Instance
 from dualxp.oracle import Oracle
 
@@ -17,18 +18,23 @@ def problem_for(classifier, instance):
     return make_problem(Oracle(classifier), instance)
 
 
+def cxps_found(problem):
+    return [e.features for e in iterate_explanations(problem) if isinstance(e, CXp)]
+
+
 def test_enumerate_cxps_goldens(poole, e1, e2):
-    assert [c.features for c in enumerate_cxps(problem_for(poole, e1))] == [
-        frozenset({L}),
-    ]
-    assert [c.features for c in enumerate_cxps(problem_for(poole, e2))] == [
+    # CXp-only enumeration is the joint loop's CXps, in discovery order
+    assert cxps_found(problem_for(poole, e1)) == [frozenset({L})]
+    assert cxps_found(problem_for(poole, e2)) == [
         frozenset({L}), frozenset({T, A}),
     ]
 
 
-def test_enumerate_cxps_constant(constant_tree):
-    problem = problem_for(constant_tree, Instance((0, 0)))
-    assert list(enumerate_cxps(problem)) == []
+def test_iterate_explanations_stops_early(poole, e2):
+    state = EnumerationState()
+    first = next(iterate_explanations(problem_for(poole, e2), state=state))
+    assert state.iterations == 1
+    assert state.axps + state.cxps == [first]
 
 
 def test_enumerate_all_goldens(poole, e1, e2):
@@ -73,13 +79,6 @@ def test_enumerate_all_matches_brute_force(small_corpus):
         assert {c.features for c in cxps} == set(bf_cxps)
 
 
-def test_enumerate_cxps_matches_brute_force(small_corpus):
-    for tree, instance in small_corpus[:40]:
-        got = {c.features for c in enumerate_cxps(problem_for(tree, instance))}
-        _, bf_cxps = brute_force_explanations(tree, instance)
-        assert got == set(bf_cxps)
-
-
 def test_enumerate_all_smallest_mode(poole, e2):
     axps, cxps = enumerate_all(problem_for(poole, e2), smallest=True)
     sizes = [len(a.features) for a in axps]
@@ -89,8 +88,6 @@ def test_enumerate_all_smallest_mode(poole, e2):
 
 def test_enumerate_all_iteration_bound(small_corpus):
     # the main loop runs once per reported explanation plus the final failure
-    from dualxp.dual import EnumerationState
-
     for tree, instance in small_corpus[:40]:
         problem = problem_for(tree, instance)
         state = EnumerationState()

@@ -3,6 +3,7 @@ import pytest
 from conftest import A, L, READS, SKIPS, T, W, e3_fixture
 from dualxp.dual import brute_force_corrections, brute_force_explanations
 from dualxp.explain import (
+    CXp,
     SeedNotSufficient,
     TargetUnreachable,
     check_axp,
@@ -68,14 +69,6 @@ def test_axp_call_count(poole, e2):
 def test_cxp_goldens(poole, e1, e2):
     assert extract_cxp(problem_for(poole, e1)).features == frozenset({L})
     assert extract_cxp(problem_for(poole, e2)).features == frozenset({L})
-
-
-def test_cxp_blocking(poole, e2):
-    problem = problem_for(poole, e2)
-    assert extract_cxp(problem, blocked=[frozenset({L})]).features == frozenset({T, A})
-    assert extract_cxp(
-        problem, blocked=[frozenset({L}), frozenset({T, A})]
-    ) is None
 
 
 def test_cxp_constant(constant_tree):
@@ -160,7 +153,7 @@ def test_cxp_witness_goldens(poole, e2):
     )
     assert witness.witness_class == SKIPS
 
-    cxp2 = extract_cxp(problem, blocked=[frozenset({L})])
+    cxp2 = CXp(frozenset({T, A}), problem.targets)
     witness2 = cxp_witness(problem, cxp2)
     assert witness2.replacement == PartialAssignment.of([
         (T, space.value_index(T, "followUp")),

@@ -54,9 +54,10 @@ def test_find_counterexample_lexicographic(poole):
 
 def _brute_entails(tree, sigma, target):
     space = tree.space
-    free = [f for f in range(space.n_features) if sigma.value_of(f) is None]
+    fixed = {l.feature: l.value for l in sigma.literals}
+    free = [f for f in range(space.n_features) if f not in fixed]
     for combo in itertools.product(*(range(space.domain_size(f)) for f in free)):
-        values = [sigma.value_of(f) for f in range(space.n_features)]
+        values = [fixed.get(f) for f in range(space.n_features)]
         for f, v in zip(free, combo):
             values[f] = v
         if raw_predict(tree, tuple(values)) != target:
