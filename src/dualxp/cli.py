@@ -1,8 +1,9 @@
 """Command-line surface: predict / axp / cxp / enum / verify / stats.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 parse or
-validation error, 4 budget exceeded.  The XDUAL_BUDGET environment variable
-overrides both the ensemble completion cap and the hitting-set node budget.
+validation error, 4 budget exceeded, 5 internal error (the traceback goes to
+standard error).  The XDUAL_BUDGET environment variable overrides both the
+ensemble completion cap and the hitting-set node budget.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import itertools
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,6 +29,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _budget() -> Optional[int]:
@@ -288,6 +291,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ModelError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception:
+        # a defect, not a verdict: keep it apart from exit 1
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ def iterate_explanations(problem: ExplanationProblem,
         )
         if candidate is None:
             return
-        witness = oracle.find_counterexample(tau.restrict(candidate), problem.targets)
+        witness = oracle.find_counterexample(tau, candidate, problem.targets)
         if witness is None:
             # candidate entails the prediction; minimality among hitting sets
             # of the full CXp family makes it a minimal sufficient set

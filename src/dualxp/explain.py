@@ -105,13 +105,13 @@ def extract_axp(problem: ExplanationProblem,
     oracle = problem.oracle
     pi = problem.predicted
     seed_set = set(range(problem.n_features)) if seed is None else set(seed)
-    if not oracle.entails(tau.restrict(seed_set), pi):
+    if not oracle.entails(tau, seed_set, pi):
         raise SeedNotSufficient("the seed assignment does not entail the prediction")
     current = set(seed_set)
     for f in _order(problem, order):
         if f not in seed_set:
             continue
-        if oracle.entails(tau.restrict(current - {f}), pi):
+        if oracle.entails(tau, current - {f}, pi):
             current.discard(f)
     return AXp(frozenset(current))
 
@@ -129,7 +129,7 @@ def _grow_correction(problem: ExplanationProblem, kept: set[int],
     tau = problem.instance
     oracle = problem.oracle
     if witness is None:
-        witness = oracle.find_counterexample(tau.restrict(kept), problem.targets)
+        witness = oracle.find_counterexample(tau, kept, problem.targets)
         if witness is None:
             return None
     for f in order:
@@ -138,7 +138,7 @@ def _grow_correction(problem: ExplanationProblem, kept: set[int],
         if witness.values[f] == tau.values[f]:
             kept.add(f)
             continue
-        w = oracle.find_counterexample(tau.restrict(kept | {f}), problem.targets)
+        w = oracle.find_counterexample(tau, kept | {f}, problem.targets)
         if w is not None:
             kept.add(f)
             witness = w
@@ -169,7 +169,7 @@ def cxp_witness(problem: ExplanationProblem, cxp: CXp) -> CxpWitness:
     """Deterministic replacement values for the CXp's features."""
     tau = problem.instance
     fixed = frozenset(range(problem.n_features)) - cxp.features
-    w = problem.oracle.find_counterexample(tau.restrict(fixed), problem.targets)
+    w = problem.oracle.find_counterexample(tau, fixed, problem.targets)
     if w is None:
         raise ModelError("internal defect: no witness exists for a valid CXp")
     replacement = w.restrict(cxp.features)
@@ -181,10 +181,10 @@ def check_axp(problem: ExplanationProblem, axp: AXp) -> list[str]:
     tau = problem.instance
     oracle = problem.oracle
     problems = []
-    if not oracle.entails(tau.restrict(axp.features), problem.predicted):
+    if not oracle.entails(tau, axp.features, problem.predicted):
         problems.append("not sufficient for the prediction")
     for f in sorted(axp.features):
-        if oracle.entails(tau.restrict(axp.features - {f}), problem.predicted):
+        if oracle.entails(tau, axp.features - {f}, problem.predicted):
             problems.append(f"feature {f} is redundant")
     return problems
 
@@ -198,14 +198,10 @@ def check_cxp(problem: ExplanationProblem, cxp: CXp) -> list[str]:
     if not cxp.features:
         problems.append("empty correction set")
         return problems
-    if oracle.find_counterexample(
-        tau.restrict(everything - cxp.features), cxp.targets
-    ) is None:
+    if oracle.find_counterexample(tau, everything - cxp.features, cxp.targets) is None:
         problems.append("releasing the set does not reach the target classes")
     for f in sorted(cxp.features):
         smaller = cxp.features - {f}
-        if oracle.find_counterexample(
-            tau.restrict(everything - smaller), cxp.targets
-        ) is not None:
+        if oracle.find_counterexample(tau, everything - smaller, cxp.targets) is not None:
             problems.append(f"feature {f} is redundant")
     return problems

@@ -1,15 +1,19 @@
 """Exact entailment and counterexample queries against a tree classifier.
 
-Decision trees are answered by feasible-path traversal; additive ensembles by
-exhaustive enumeration of the free-feature product, guarded by a completion
-cap.  Every public query bumps the per-session OracleStats exactly once.
+A query fixes the features in a kept set to their values in an instance and
+leaves the rest free.  Decision trees are answered by one iterative search
+for a feasible path to a leaf of the wanted classes; the counterexample is
+the lexicographically first completion, built feature by feature on the
+last path found.  Additive ensembles are answered by exhaustive enumeration
+of the free-feature product, guarded by a completion cap.  Every public
+query bumps the per-session OracleStats exactly once.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .model import (
     AdditiveEnsemble,
@@ -18,7 +22,6 @@ from .model import (
     Instance,
     Leaf,
     ModelError,
-    PartialAssignment,
     TreeStructure,
 )
 
@@ -61,24 +64,59 @@ def _walk(tree: TreeStructure, values: tuple[int, ...]) -> int:
     return node.value
 
 
-def _tree_can_reach(tree: TreeStructure, sigma_values: list[Optional[int]],
-                    targets: frozenset[int]) -> bool:
-    """True iff some leaf with class in `targets` is feasible under sigma."""
+def _tree_path(tree: TreeStructure, values: list[Optional[int]],
+               targets: frozenset[int]) -> Optional[dict[int, int]]:
+    """Branch values of the free features (None in `values`) on the first
+    path, depth first with children in ascending value order, to a leaf with
+    class in `targets` that is feasible under `values`; None if there is none.
 
-    def walk(node_id: int) -> bool:
-        node = tree.nodes[node_id]
+    Each node is expanded at most once: whether a target leaf is reachable
+    from a node does not depend on the path to it, because no feature
+    repeats on a path.
+    """
+    nodes = tree.nodes
+    seen: set[int] = set()
+    # entries are (node id, link); a link is (parent link, feature, value)
+    # for the free-feature branches taken on the way down, or None
+    stack: list[tuple[int, Optional[tuple]]] = [(tree.root, None)]
+    while stack:
+        node_id, link = stack.pop()
+        if node_id in seen:
+            continue
+        seen.add(node_id)
+        node = nodes[node_id]
         if isinstance(node, Leaf):
-            return node.value in targets
-        fixed = sigma_values[node.feature]
+            if node.value in targets:
+                path = {}
+                while link is not None:
+                    link, f, v = link
+                    path[f] = v
+                return path
+            continue
+        fixed = values[node.feature]
         if fixed is not None:
-            return walk(node.children[fixed])
-        return any(walk(child) for child in node.children)
+            stack.append((node.children[fixed], link))
+            continue
+        children = node.children
+        for v in range(len(children) - 1, -1, -1):
+            stack.append((children[v], (link, node.feature, v)))
+    return None
 
-    return walk(tree.root)
+
+def _kept_values(instance: Instance,
+                 kept: AbstractSet[int]) -> list[Optional[int]]:
+    """The instance's values with every feature outside `kept` set to None."""
+    return [v if f in kept else None for f, v in enumerate(instance.values)]
 
 
 class Oracle:
     """Stateful query interface over an immutable classifier.
+
+    `entails` and `find_counterexample` take an instance and the set of its
+    features kept at their instance values; every other feature is free.
+    On a decision tree each is one iterative path search, plus one more per
+    value tried below the last path's branch when building the
+    lexicographically first counterexample.
 
     One Oracle per explanation session: the stats object is the only mutable
     state.  The prediction cache is keyed on full value tuples and is exact,
@@ -104,25 +142,35 @@ class Oracle:
         self.stats.predict_calls += 1
         return self._predict(instance.values)
 
-    def entails(self, sigma: PartialAssignment, target_class: int) -> bool:
-        """True iff every completion of sigma predicts `target_class`."""
+    def entails(self, instance: Instance, kept: AbstractSet[int],
+                target_class: int) -> bool:
+        """True iff every completion of the `kept` features of `instance`
+        predicts `target_class`."""
         self.stats.entailment_calls += 1
         t0 = time.perf_counter()
+        values = _kept_values(instance, kept)
         others = frozenset(range(self.n_classes)) - {target_class}
         try:
-            return self._find_completion(sigma, others) is None
+            if isinstance(self.classifier, DecisionTree):
+                return _tree_path(self.classifier.tree, values, others) is None
+            return self._ensemble_completion(values, others) is None
         finally:
             self.stats.entailment_time += time.perf_counter() - t0
 
-    def find_counterexample(self, sigma: PartialAssignment,
+    def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int]) -> Optional[Instance]:
-        """Lexicographically first completion of sigma predicting into `targets`."""
+        """Lexicographically first completion of the `kept` features of
+        `instance` that predicts into `targets`."""
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
         t0 = time.perf_counter()
+        values = _kept_values(instance, kept)
+        targets = frozenset(targets)
         try:
-            return self._find_completion(sigma, frozenset(targets))
+            if isinstance(self.classifier, DecisionTree):
+                return self._tree_completion(values, targets)
+            return self._ensemble_completion(values, targets)
         finally:
             self.stats.witness_time += time.perf_counter() - t0
 
@@ -135,31 +183,28 @@ class Oracle:
             self._cache[values] = cached
         return cached
 
-    def _find_completion(self, sigma: PartialAssignment,
-                         targets: frozenset[int]) -> Optional[Instance]:
-        sigma_values: list[Optional[int]] = [None] * self.space.n_features
-        for lit in sigma.literals:
-            sigma_values[lit.feature] = lit.value
-        if isinstance(self.classifier, DecisionTree):
-            return self._tree_completion(sigma_values, targets)
-        return self._ensemble_completion(sigma_values, targets)
-
-    def _tree_completion(self, sigma_values: list[Optional[int]],
+    def _tree_completion(self, values: list[Optional[int]],
                          targets: frozenset[int]) -> Optional[Instance]:
         tree = self.classifier.tree
-        if not _tree_can_reach(tree, sigma_values, targets):
+        path = _tree_path(tree, values, targets)
+        if path is None:
             return None
-        # greedy per-feature fixing keeps the result lexicographically first
-        values = list(sigma_values)
-        for f in range(self.space.n_features):
+        # fix the free features in order, each to its least value that keeps
+        # a target leaf reachable.  The last path found stays feasible, so
+        # its branch value w (0 off the path) needs no search; only the
+        # values below w do, and a path found for one of them replaces it.
+        for f in range(len(values)):
             if values[f] is not None:
                 continue
-            for v in range(self.space.domain_size(f)):
+            w = path.get(f, 0)
+            for v in range(w):
                 values[f] = v
-                if _tree_can_reach(tree, values, targets):
+                found = _tree_path(tree, values, targets)
+                if found is not None:
+                    path = found
                     break
-                values[f] = None
-            assert values[f] is not None
+            else:
+                values[f] = w
         return Instance(tuple(values))
 
     def _ensemble_completion(self, sigma_values: list[Optional[int]],

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -199,6 +200,62 @@ def test_deep_split_chain_is_a_validation_error(capsys, tmp_path):
     code, _, err = run(capsys, "predict", "-m", str(model), "-i", str(inst))
     assert code == 3
     assert err.count("repeats on the path") == depth - 1
+
+
+def test_deep_chain_of_one_value_features(capsys, tmp_path):
+    # a valid tree deeper than Python's recursion limit: 3,000 splits on
+    # distinct one-value features, then one binary split on x
+    depth = 3000
+    features = [{"name": f"f{i}", "domain": ["a"]} for i in range(depth)]
+    features.append({"name": "x", "domain": ["a", "b"]})
+    nodes = [{"feature": f"f{i}", "children": {"a": i + 1}} for i in range(depth)]
+    nodes.append({"feature": "x", "children": {"a": depth + 1, "b": depth + 2}})
+    nodes += [{"class": "c0"}, {"class": "c1"}]
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps({
+        "format_version": 1, "kind": "tree", "features": features,
+        "classes": ["c0", "c1"], "root": 0, "nodes": nodes,
+    }))
+    inst = tmp_path / "row.csv"
+    inst.write_text(",".join(f["name"] for f in features) + "\n"
+                    + ",".join(["a"] * (depth + 1)) + "\n")
+    argv = ["-m", str(model), "-i", str(inst)]
+    assert run(capsys, "axp", *argv) == (0, "c0: {x=a}\n", "")
+    assert run(capsys, "cxp", *argv) == (0, "c0: {x=a} -> {x=b} (c1)\n", "")
+    code, out, _ = run(capsys, "enum", *argv)
+    assert code == 0
+    assert sorted(json.loads(line)["kind"] for line in out.splitlines()) == [
+        "axp", "cxp"]
+
+
+def test_internal_error_exit_code(capsys, monkeypatch, poole_file, e2_file):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr("dualxp.cli.extract_axp", broken)
+    code, out, err = run(capsys, "axp", "-m", poole_file, "-i", e2_file)
+    assert code == 5
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: simulated defect" in err
+
+
+def test_python_m_dualxp(capsys):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dualxp
+
+    package = Path(dualxp.__file__).resolve().parent
+    argv = ["predict", "-m", str(package / "data" / "synth_ensemble.json"),
+            "-i", str(package / "data" / "synth_instances.csv")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(package.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "dualxp", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 def test_byte_stability(capsys, poole_file, all16_file):

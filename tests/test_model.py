@@ -123,6 +123,7 @@ def test_unique_feasible_path(small_corpus):
         predicted = oracle.predict(instance)
         feasible = {
             c for c in range(tree.n_classes)
-            if oracle.find_counterexample(instance.assignment(), frozenset({c}))
+            if oracle.find_counterexample(
+                instance, set(range(instance.n_features)), frozenset({c}))
         }
         assert feasible == {predicted}
