@@ -35,17 +35,23 @@ def poole_tree() -> DecisionTree:
                                   TreeStructure(nodes, 0)))
 
 
+def bundled_files() -> dict[str, str]:
+    """The canonical text of each bundled data file, by file name."""
+    ensemble = validated(synthetic_ensemble())
+    instances = synthetic_instances(ensemble.space, 100)
+    return {
+        "poole.json": serialize_model(poole_tree()),
+        "synth_ensemble.json": serialize_model(ensemble),
+        "synth_instances.csv": serialize_instances(instances, ensemble.space),
+    }
+
+
 def main() -> None:
     DATA.mkdir(parents=True, exist_ok=True)
-    (DATA / "poole.json").write_text(serialize_model(poole_tree()))
-
-    ensemble = validated(synthetic_ensemble())
-    (DATA / "synth_ensemble.json").write_text(serialize_model(ensemble))
-    instances = synthetic_instances(ensemble.space, 100)
-    (DATA / "synth_instances.csv").write_text(
-        serialize_instances(instances, ensemble.space)
-    )
-    print(f"wrote {DATA}/poole.json, synth_ensemble.json, synth_instances.csv")
+    files = bundled_files()
+    for name, text in files.items():
+        (DATA / name).write_text(text)
+    print(f"wrote {DATA}/{', '.join(files)}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 parse or
 validation error, 4 budget exceeded, 5 internal error (the traceback goes to
-standard error).  The XDUAL_BUDGET environment variable overrides both the
-ensemble completion cap and the hitting-set node budget.
+standard error), 141 standard output closed by its reader (no message).
+The XDUAL_BUDGET environment variable overrides both the ensemble
+completion cap and the hitting-set node budget.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a program the signal ended
 
 
 def _budget() -> Optional[int]:
@@ -284,7 +286,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `dualxp enum ... | head` does: not a
+        # defect.  Point stdout at devnull so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
     except (BudgetExceeded, SearchSpaceExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

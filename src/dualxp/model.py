@@ -1,9 +1,13 @@
 """Domain types: categorical feature spaces, literals, instances and tree classifiers.
 
 All types are frozen dataclasses and safe to share across workers once validated.
+Trees are built and validated as `Leaf`/`Split` node objects; every walk reads
+the flat arrays of `TreeStructure.arrays` instead, compiled lazily on first use
+and cached on the tree object, so every oracle over one classifier shares them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -171,6 +175,17 @@ class TreeStructure:
     nodes: tuple[Node, ...]
     root: int
 
+    @functools.cached_property
+    def arrays(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                              tuple[int, ...]]:
+        """Per node id: its split feature (-1 for a leaf), its children (empty
+        for a leaf) and its leaf value (0 for a split)."""
+        return (
+            tuple(-1 if isinstance(n, Leaf) else n.feature for n in self.nodes),
+            tuple(() if isinstance(n, Leaf) else n.children for n in self.nodes),
+            tuple(n.value if isinstance(n, Leaf) else 0 for n in self.nodes),
+        )
+
 
 @dataclass(frozen=True)
 class DecisionTree:
@@ -200,6 +215,15 @@ class AdditiveEnsemble:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+    @functools.cached_property
+    def class_arrays(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per class, per tree: its `TreeStructure.arrays` followed by its
+        root, as (feature, children, value, root)."""
+        return tuple(
+            tuple((*tree.arrays, tree.root) for tree in group)
+            for group in self.trees
+        )
 
 
 Classifier = Union[DecisionTree, AdditiveEnsemble]

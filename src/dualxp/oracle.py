@@ -5,8 +5,11 @@ leaves the rest free.  Decision trees are answered by one iterative search
 for a feasible path to a leaf of the wanted classes; the counterexample is
 the lexicographically first completion, built feature by feature on the
 last path found.  Additive ensembles are answered by exhaustive enumeration
-of the free-feature product, guarded by a completion cap.  Every public
-query bumps the per-session OracleStats exactly once.
+of the free-feature product, guarded by a completion cap; each completion
+not yet in the prediction cache is scored by `raw_predict`.  Every walk,
+predictions and path searches alike, reads the flat node arrays that each
+tree compiles once (`TreeStructure.arrays`, `AdditiveEnsemble.class_arrays`).
+Every public query bumps the per-session OracleStats exactly once.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from .model import (
     Classifier,
     DecisionTree,
     Instance,
-    Leaf,
     ModelError,
     TreeStructure,
 )
@@ -50,18 +52,25 @@ class OracleStats:
 def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
     """Class index for a full assignment, bypassing any oracle bookkeeping."""
     if isinstance(classifier, DecisionTree):
-        return _walk(classifier.tree, values)
-    scores = [
-        sum(_walk(tree, values) for tree in group) for group in classifier.trees
-    ]
-    return max(range(len(scores)), key=lambda c: (scores[c], -c))
-
-
-def _walk(tree: TreeStructure, values: tuple[int, ...]) -> int:
-    node = tree.nodes[tree.root]
-    while not isinstance(node, Leaf):
-        node = tree.nodes[node.children[values[node.feature]]]
-    return node.value
+        feature, children, value = classifier.tree.arrays
+        node = classifier.tree.root
+        f = feature[node]
+        while f >= 0:
+            node = children[node][values[f]]
+            f = feature[node]
+        return value[node]
+    scores = []
+    for group in classifier.class_arrays:
+        score = 0
+        for feature, children, value, node in group:
+            f = feature[node]
+            while f >= 0:
+                node = children[node][values[f]]
+                f = feature[node]
+            score += value[node]
+        scores.append(score)
+    # ties go to the lowest class index
+    return scores.index(max(scores))
 
 
 def _tree_path(tree: TreeStructure, values: list[Optional[int]],
@@ -74,7 +83,7 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
     from a node does not depend on the path to it, because no feature
     repeats on a path.
     """
-    nodes = tree.nodes
+    feature, children, value = tree.arrays
     seen: set[int] = set()
     # entries are (node id, link); a link is (parent link, feature, value)
     # for the free-feature branches taken on the way down, or None
@@ -84,22 +93,22 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
         if node_id in seen:
             continue
         seen.add(node_id)
-        node = nodes[node_id]
-        if isinstance(node, Leaf):
-            if node.value in targets:
+        f = feature[node_id]
+        if f < 0:
+            if value[node_id] in targets:
                 path = {}
                 while link is not None:
                     link, f, v = link
                     path[f] = v
                 return path
             continue
-        fixed = values[node.feature]
+        fixed = values[f]
         if fixed is not None:
-            stack.append((node.children[fixed], link))
+            stack.append((children[node_id][fixed], link))
             continue
-        children = node.children
-        for v in range(len(children) - 1, -1, -1):
-            stack.append((children[v], (link, node.feature, v)))
+        kids = children[node_id]
+        for v in range(len(kids) - 1, -1, -1):
+            stack.append((kids[v], (link, f, v)))
     return None
 
 
@@ -118,9 +127,12 @@ class Oracle:
     value tried below the last path's branch when building the
     lexicographically first counterexample.
 
-    One Oracle per explanation session: the stats object is the only mutable
-    state.  The prediction cache is keyed on full value tuples and is exact,
-    so sharing it within a session is safe.
+    One Oracle per explanation session: the stats object and the prediction
+    cache are its only mutable state.  The cache is keyed on full value
+    tuples and is exact, so sharing it within a session is safe.  The
+    classifier stays immutable and safe to share: the node arrays every
+    walk reads are compiled on its first query and cached on the classifier,
+    so all oracles over one classifier object share them.
     """
 
     def __init__(self, classifier: Classifier, stats: Optional[OracleStats] = None,

@@ -239,7 +239,9 @@ def test_internal_error_exit_code(capsys, monkeypatch, poole_file, e2_file):
     assert "Traceback" in err and "RuntimeError: simulated defect" in err
 
 
-def test_python_m_dualxp(capsys):
+def _python_m_dualxp(*argv):
+    """`python -m dualxp` with this checkout's package first on the path,
+    as a running subprocess.Popen with piped, text-mode output."""
     import subprocess
     import sys
     from pathlib import Path
@@ -247,15 +249,43 @@ def test_python_m_dualxp(capsys):
     import dualxp
 
     package = Path(dualxp.__file__).resolve().parent
-    argv = ["predict", "-m", str(package / "data" / "synth_ensemble.json"),
-            "-i", str(package / "data" / "synth_instances.csv")]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(package.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "dualxp", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == run(capsys, *argv)[1]
+    return subprocess.Popen([sys.executable, "-m", "dualxp", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _bundled_ensemble_argv(command):
+    from pathlib import Path
+
+    import dualxp
+
+    data = Path(dualxp.__file__).resolve().parent / "data"
+    return [command, "-m", str(data / "synth_ensemble.json"),
+            "-i", str(data / "synth_instances.csv")]
+
+
+def test_python_m_dualxp(capsys):
+    argv = _bundled_ensemble_argv("predict")
+    proc = _python_m_dualxp(*argv)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert out == run(capsys, *argv)[1]
+
+
+def test_closed_output_pipe_exits_quietly():
+    # about 150 kB of records, more than a pipe holds, so the writer meets
+    # the closed pipe after the reader stops at the first line
+    proc = _python_m_dualxp(*_bundled_ensemble_argv("enum"))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert json.loads(first)["row"] == 0
+    assert err == ""
 
 
 def test_byte_stability(capsys, poole_file, all16_file):

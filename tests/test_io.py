@@ -19,6 +19,21 @@ def test_bundled_poole_parses(poole):
     assert poole.classes == ("reads", "skips")
 
 
+def test_bundled_data_regenerates_byte_for_byte():
+    import importlib.util
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_bundled_data.py"
+    spec = importlib.util.spec_from_file_location("gen_bundled_data", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    files = gen.bundled_files()
+    assert sorted(files) == ["poole.json", "synth_ensemble.json",
+                             "synth_instances.csv"]
+    for name, text in files.items():
+        assert _read(name) == text, name
+
+
 def test_bundled_ensemble_parses():
     model = synthetic_ensemble_model()
     assert isinstance(model, AdditiveEnsemble)

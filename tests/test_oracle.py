@@ -1,12 +1,15 @@
+import functools
 import itertools
+import random
 
 import pytest
 
 from conftest import A, L, READS, SKIPS, T, W
-from dualxp.model import (DecisionTree, FeatureSpace, Instance, Leaf, Split,
-                          TreeStructure, validated)
+from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
+                          Instance, Leaf, Split, TreeStructure, validated)
 from dualxp.oracle import Oracle, OracleStats, SearchSpaceExceeded, raw_predict
-from dualxp.synth import synthetic_ensemble
+from dualxp.synth import (random_instance, random_space, random_tree,
+                          synthetic_ensemble)
 
 
 def test_predict_goldens(poole, e1, e2):
@@ -51,20 +54,57 @@ def test_find_counterexample_lexicographic(poole, e2):
     assert cex == Instance((0, 0, 1, 0))
 
 
+def _node_walk(tree, values):
+    """Leaf value reached by `values`, walking the Leaf/Split node objects."""
+    node = tree.nodes[tree.root]
+    while isinstance(node, Split):
+        node = tree.nodes[node.children[values[node.feature]]]
+    return node.value
+
+
+def _reference_predict(classifier, values):
+    """Class index of a full assignment: the tree's leaf class, or the
+    ensemble's highest summed score, ties to the lowest class index."""
+    if isinstance(classifier, DecisionTree):
+        return _node_walk(classifier.tree, values)
+    scores = [sum(_node_walk(tree, values) for tree in group)
+              for group in classifier.trees]
+    return max(range(len(scores)), key=lambda c: (scores[c], -c))
+
+
 def _completions(classifier, instance, kept):
     """Every completion of the kept features of `instance`, in lexicographic
-    order, with its raw prediction."""
+    order, with its prediction by the reference walk."""
     space = classifier.space
     domains = [
         (instance.values[f],) if f in kept else range(space.domain_size(f))
         for f in range(space.n_features)
     ]
     for values in itertools.product(*domains):
-        yield values, raw_predict(classifier, values)
+        yield values, _reference_predict(classifier, values)
 
 
-def _brute_entails(classifier, instance, kept, target):
-    return all(p == target for _, p in _completions(classifier, instance, kept))
+def _target_sets(n_classes):
+    return [frozenset(ts) for r in range(1, n_classes + 1)
+            for ts in itertools.combinations(range(n_classes), r)]
+
+
+def _check_against_completions(classifier, instance):
+    """Over every kept subset: `entails` for every class and
+    `find_counterexample` for every non-empty target set against the
+    lexicographically ordered completions."""
+    oracle = Oracle(classifier)
+    n = instance.n_features
+    for kept in map(set, itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(n + 1))):
+        completions = list(_completions(classifier, instance, kept))
+        for c in range(classifier.n_classes):
+            assert oracle.entails(instance, kept, c) == all(
+                p == c for _, p in completions)
+        for targets in _target_sets(classifier.n_classes):
+            first = next(
+                (Instance(v) for v, p in completions if p in targets), None)
+            assert oracle.find_counterexample(instance, kept, targets) == first
 
 
 def _shared_children_tree():
@@ -93,22 +133,7 @@ def test_tree_oracle_matches_brute_force(small_corpus):
         for values in itertools.product(range(2), range(3), range(2))
     ]
     for tree, instance in corpus:
-        oracle = Oracle(tree)
-        classes = range(tree.n_classes)
-        target_sets = [
-            frozenset(ts) for r in range(1, tree.n_classes + 1)
-            for ts in itertools.combinations(classes, r)
-        ]
-        for r in range(instance.n_features + 1):
-            for kept in map(set, itertools.combinations(range(instance.n_features), r)):
-                completions = list(_completions(tree, instance, kept))
-                for c in classes:
-                    assert oracle.entails(instance, kept, c) == _brute_entails(
-                        tree, instance, kept, c)
-                for targets in target_sets:
-                    first = next(
-                        (Instance(v) for v, p in completions if p in targets), None)
-                    assert oracle.find_counterexample(instance, kept, targets) == first
+        _check_against_completions(tree, instance)
 
 
 def test_entails_iff_no_counterexample(small_corpus):
@@ -157,18 +182,67 @@ def test_ensemble_predict_deterministic_ties():
     assert Oracle(tie).predict(Instance((0,))) == 0
 
 
+def _small_ensemble(rng, n_features, trees_per_class, n_classes=3):
+    """A random ensemble over domains of 2 to 4 values whose leaf scores
+    are 0 to 2, so that class scores often tie."""
+    space = random_space(rng, n_features, (2, 4))
+    return validated(AdditiveEnsemble(
+        space, tuple(f"c{i}" for i in range(n_classes)),
+        tuple(tuple(random_tree(rng, space, 3).tree
+                    for _ in range(trees_per_class))
+              for _ in range(n_classes)),
+        scale=1,
+    ))
+
+
 def test_ensemble_oracle_matches_brute_force():
-    ensemble = synthetic_ensemble(n_features=6, trees_per_class=3)
-    oracle = Oracle(ensemble)
-    instance = Instance((0, 1, 0, 1, 1, 0))
-    pi = oracle.predict(instance)
-    others = frozenset(range(2)) - {pi}
-    for kept in map(set, itertools.combinations(range(6), 3)):
-        assert oracle.entails(instance, kept, pi) == _brute_entails(
-            ensemble, instance, kept, pi)
-        assert oracle.entails(instance, kept, pi) == (
-            oracle.find_counterexample(instance, kept, others) is None
-        )
+    rng = random.Random(3)
+    cases = [(synthetic_ensemble(n_features=6, trees_per_class=3), 4),
+             (_small_ensemble(rng, 4, 3), 5)]
+    for ensemble, n_instances in cases:
+        for _ in range(n_instances):
+            _check_against_completions(
+                ensemble, random_instance(rng, ensemble.space))
+
+
+def test_compiled_walk_matches_node_walk(monkeypatch):
+    built = []
+    lazy = TreeStructure.__dict__["arrays"]
+
+    def counted(tree):
+        built.append(tree)
+        return lazy.func(tree)
+
+    counting = functools.cached_property(counted)
+    counting.__set_name__(TreeStructure, "arrays")
+    monkeypatch.setattr(TreeStructure, "arrays", counting)
+
+    rng = random.Random(11)
+    models = [_shared_children_tree()]
+    for _ in range(30):
+        space = random_space(rng, rng.randint(2, 6), (2, 4))
+        models.append(random_tree(rng, space, 3, max_depth=5))
+    for _ in range(10):
+        models.append(_small_ensemble(rng, rng.randint(2, 6), rng.randint(1, 4)))
+    ties = 0
+    for model in models:
+        trees = ([model.tree] if isinstance(model, DecisionTree)
+                 else [t for group in model.trees for t in group])
+        assert not any("arrays" in t.__dict__ for t in trees)
+        first, second = Oracle(model), Oracle(model)
+        points = [random_instance(rng, model.space) for _ in range(40)]
+        for i, point in enumerate(points):
+            expected = _reference_predict(model, point.values)
+            assert raw_predict(model, point.values) == expected
+            assert (first if i % 2 else second).predict(point) == expected
+            if isinstance(model, AdditiveEnsemble):
+                scores = [sum(_node_walk(t, point.values) for t in group)
+                          for group in model.trees]
+                ties += scores.count(max(scores)) > 1
+        # compiled once per tree object, and shared by both oracles
+        assert sorted(map(id, built)) == sorted(map(id, trees))
+        built.clear()
+    assert ties > 0
 
 
 def test_ensemble_cap():
