@@ -17,8 +17,9 @@ import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dual import BudgetExceeded, enumerate_all, iterate_explanations, verify_duality
-from .explain import AXp, CXp, cxp_witness, extract_axp, extract_cxp, make_problem, targeted_cxp
+from .dual import BudgetExceeded, _format_set, enumerate_all, iterate_explanations, verify_duality
+from .explain import (AXp, CXp, check_axp, check_cxp, cxp_witness, extract_axp,
+                      extract_cxp, make_problem, targeted_cxp)
 from .hitting import DEFAULT_NODE_BUDGET
 from .model import Classifier, FeatureSpace, Instance, ModelError, PartialAssignment
 from .modelio import ParseError, parse_instances, parse_model
@@ -197,15 +198,19 @@ def cmd_verify(args) -> int:
         oracle = _oracle(classifier)
         problem = make_problem(oracle, instance)
         axps, cxps = enumerate_all(problem, order=order, mhs_budget=mhs_budget)
-        report = verify_duality(
+        problems = verify_duality(
             [a.features for a in axps], [c.features for c in cxps]
-        )
-        if report.ok:
+        ).violations
+        problems += [f"AXp {_format_set(a.features)}: {p}"
+                     for a in axps for p in check_axp(problem, a)]
+        problems += [f"CXp {_format_set(c.features)}: {p}"
+                     for c in cxps for p in check_cxp(problem, c)]
+        if not problems:
             print(f"row {row}: ok ({len(axps)} axps, {len(cxps)} cxps)")
         else:
             failed = True
-            for v in report.violations:
-                print(f"row {row}: {v}")
+            for p in problems:
+                print(f"row {row}: {p}")
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -268,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "enumerator")
     p.set_defaults(func=cmd_enum)
 
-    p = sub.add_parser("verify", help="enumerate everything and check the "
-                                      "hitting-set duality")
+    p = sub.add_parser("verify", help="enumerate everything, check the "
+                                      "hitting-set duality and each "
+                                      "explanation")
     common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -15,12 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from .explain import AXp, CXp, ExplanationProblem, _grow_correction, _order
-from .hitting import (
-    DEFAULT_NODE_BUDGET,
-    BudgetExceeded,
-    HittingSetInstance,
-    minimal_hitting_set,
-)
+from .hitting import DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetSolver
+from .hitting import minimal_hitting_set  # noqa: F401  (perfbench's tracer patches it here)
 from .model import Classifier, Instance, ModelError
 from .oracle import raw_predict
 
@@ -53,26 +49,26 @@ def iterate_explanations(problem: ExplanationProblem,
     """Yield every AXp and every basic CXp exactly once, each as it is found.
 
     Each explanation is also appended to `state`, so a caller that stops
-    early still sees what was found and how many iterations it took.  With
-    `smallest=True` candidates are minimum-cardinality hitting sets, so AXps
-    come out in non-decreasing size order.
+    early still sees what was found and how many iterations it took; the
+    explanations a `state` already holds seed the search.  One hitting-set
+    solver serves the whole call: each AXp is blocked in it and each CXp is
+    added as a set to hit.  With `smallest=True` candidates are
+    minimum-cardinality hitting sets, so AXps come out in non-decreasing
+    size order.
     """
     ord_ = _order(problem, order)
     tau = problem.instance
     oracle = problem.oracle
     if state is None:
         state = EnumerationState()
+    solver = HittingSetSolver(ord_, smallest, mhs_budget)
+    for c in state.cxps:
+        solver.add_to_hit(c.features)
+    for a in state.axps:
+        solver.add_blocked(a.features)
     while True:
         state.iterations += 1
-        candidate = minimal_hitting_set(
-            HittingSetInstance(
-                tuple(ord_),
-                tuple(c.features for c in state.cxps),
-                tuple(a.features for a in state.axps),
-            ),
-            smallest=smallest,
-            budget=mhs_budget,
-        )
+        candidate = solver.next()
         if candidate is None:
             return
         witness = oracle.find_counterexample(tau, candidate, problem.targets)
@@ -81,6 +77,7 @@ def iterate_explanations(problem: ExplanationProblem,
             # of the full CXp family makes it a minimal sufficient set
             found: Union[AXp, CXp] = AXp(candidate)
             state.axps.append(found)
+            solver.add_blocked(candidate)
         else:
             # fix everything the witness agrees with (a superset of the
             # candidate's complement stays released), grow, and the resulting
@@ -89,6 +86,7 @@ def iterate_explanations(problem: ExplanationProblem,
             found = _grow_correction(problem, kept, ord_, witness)
             assert found is not None
             state.cxps.append(found)
+            solver.add_to_hit(found.features)
         if len(state.axps) + len(state.cxps) > max_explanations:
             raise BudgetExceeded(
                 f"more than {max_explanations} explanations reported"

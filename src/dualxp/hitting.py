@@ -1,22 +1,38 @@
 """Exact minimal-hitting-set solver used by the dual enumeration engine.
 
-Each call maps the universe to bit positions once and works on Python `int`
-masks.  An explicit-stack depth-first search branches on the unhit set with
-the fewest still-allowed elements (ties go to the lowest set index): its
-allowed elements are tried in universe order, and each later sibling
-excludes the earlier ones, so no hitting set is reached twice.  A state is
-pruned when some unhit set has no allowed element left, and a child that
-covers a blocked set is dropped.  The first hitting set found is shrunk to
-a subset-minimal one by dropping elements in universe order.  With
-`smallest=True` the search is instead repeated under a growing cap on the
-chosen set's size (iterative deepening), with no shrink needed.  Exact and
-deterministic for fixed input order; a node budget (one node per popped
-search state) guards against desk-scale blowups.
+`HittingSetSolver` maps the universe to bit positions once and works on
+Python `int` masks.  Sets to hit and blocked sets (sets the answer may not
+cover) are added one at a time, and `next()` returns a subset-minimal
+hitting set that covers no blocked set.  An explicit-stack depth-first
+search branches on the unhit set with the fewest still-allowed elements
+(ties go to the lowest set index): its allowed elements are tried in
+universe order, and each later sibling excludes the earlier ones, so no
+hitting set is reached twice.  A state is pruned when some unhit set has no
+allowed element left, and a child that covers a blocked set is dropped.
+The first hitting set found is shrunk to a subset-minimal one by dropping
+elements in universe order.  With `smallest=True` the search is instead
+repeated under a growing cap on the chosen set's size (iterative
+deepening), with no shrink needed.
+
+The solver keeps its search between calls.  Branching depends only on the
+sets to hit, so blocking a set only removes subtrees from the search order,
+and no state popped before the last answer was a hitting set.  So after
+`add_blocked` alone, `next()` resumes from the saved stack, which still
+holds the last answer's own state on top.  Each pending state is checked
+when popped against every blocked set added since it was pushed.  After
+`add_to_hit` the search starts again from the root.  Either way `next()`
+returns what a fresh search over everything added so far returns.
+With `smallest=True` it starts at the cap of the last answer: smaller caps
+failed then, and more sets to hit or block cannot make them succeed.
+
+Exact and deterministic for fixed input order.  The node budget counts the
+states popped by one `next()` call (a resumed call counts only its own), and
+guards against desk-scale blowups.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -40,49 +56,105 @@ class HittingSetInstance:
                 raise ValueError("set contains elements outside the universe")
 
 
-def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
-                        budget: int = DEFAULT_NODE_BUDGET) -> Optional[frozenset[int]]:
-    """A subset-minimal hitting set of `to_hit` that is a superset of no
-    blocked set, or None when no such set exists.
+class HittingSetSolver:
+    """Incremental search for minimal hitting sets over a fixed universe."""
 
-    With `smallest=True` the result is additionally of minimum cardinality.
-    """
-    if any(not s for s in instance.to_hit):
-        return None  # an empty set can never be hit
-    if any(not b for b in instance.blocked):
-        return None  # every set is a superset of the empty blocked set
-    universe = instance.universe
-    bit = {e: 1 << i for i, e in enumerate(universe)}
+    def __init__(self, universe: Iterable[int], smallest: bool = False,
+                 budget: int = DEFAULT_NODE_BUDGET) -> None:
+        self.universe = tuple(universe)
+        self.smallest = smallest
+        self.budget = budget
+        self._bit = {e: 1 << i for i, e in enumerate(self.universe)}
+        self._sets: list[int] = []     # masks to hit, in the order added
+        self._blocked: list[int] = []  # blocked masks, in the order added
+        # element bit -> blocked masks containing it; a child adds one
+        # element, so only these can become covered
+        self._blocked_with: dict[int, list[int]] = {}
+        self._empty = False  # an empty set to hit or to block: no answer
+        # pending (chosen, allowed, blocked count when pushed) states, or
+        # None to start from the root
+        self._stack: Optional[list[tuple[int, int, int]]] = None
+        self._cap = 0  # smallest mode: the size cap of the current search
 
-    def mask(s: frozenset[int]) -> int:
+    def _mask(self, s: Iterable[int]) -> int:
         m = 0
-        for e in s:
-            m |= bit[e]
+        try:
+            for e in s:
+                m |= self._bit[e]
+        except KeyError:
+            raise ValueError("set contains elements outside the universe") from None
         return m
 
-    sets = [mask(s) for s in instance.to_hit]
-    # element bit -> blocked masks containing it; a child adds one element,
-    # so only these can become covered
-    blocked_with: dict[int, list[int]] = {}
-    for b in map(mask, instance.blocked):
-        rest = b
+    def add_to_hit(self, s: Iterable[int]) -> None:
+        """Require every later answer to hit `s`."""
+        m = self._mask(s)
+        self._empty = self._empty or not m  # an empty set can never be hit
+        self._sets.append(m)
+        self._stack = None  # branch choices depend on the sets to hit
+
+    def add_blocked(self, s: Iterable[int]) -> None:
+        """Forbid every later answer to cover `s`."""
+        m = self._mask(s)
+        self._empty = self._empty or not m  # every set covers the empty set
+        self._blocked.append(m)
+        rest = m
         while rest:
             low = rest & -rest
             rest ^= low
-            blocked_with.setdefault(low, []).append(b)
-    nodes = 0
+            self._blocked_with.setdefault(low, []).append(m)
 
-    def search(cap: Optional[int]) -> Optional[int]:
-        """First hitting set in search order with at most `cap` elements."""
-        nonlocal nodes
-        stack = [(0, (1 << len(universe)) - 1)]  # (chosen, allowed) masks
-        while stack:
-            chosen, allowed = stack.pop()
-            nodes += 1
-            if nodes > budget:
+    def next(self) -> Optional[frozenset[int]]:
+        """A subset-minimal hitting set of the sets to hit that covers no
+        blocked set, or None when no such set exists.  With `smallest=True`
+        it is additionally of minimum cardinality."""
+        if self._empty:
+            return None
+        if self._stack is None:
+            self._stack = [self._root()]
+        found = self._search()
+        if found is None:
+            return None
+        if not self.smallest:
+            found = _shrink(found, self._sets)
+        universe = self.universe
+        out = []
+        while found:
+            low = found & -found
+            found ^= low
+            out.append(universe[low.bit_length() - 1])
+        return frozenset(out)
+
+    def _root(self) -> tuple[int, int, int]:
+        return 0, (1 << len(self.universe)) - 1, len(self._blocked)
+
+    def _search(self) -> Optional[int]:
+        """Pop states until the first hitting set in search order, or None.
+        In smallest mode, each time the stack runs dry the search starts
+        again from the root under the next cap."""
+        stack = self._stack
+        sets = self._sets
+        blocked = self._blocked
+        blocked_with = self._blocked_with
+        n_blocked = len(blocked)
+        cap = self._cap if self.smallest else None
+        budget = self.budget
+        nodes = 0
+        while True:
+            if not stack:
+                if cap is None or cap >= len(self.universe):
+                    return None
+                cap = self._cap = cap + 1
+                stack.append(self._root())
+            if nodes >= budget:
                 raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
+            nodes += 1
+            chosen, allowed, seen = stack.pop()
+            if seen < n_blocked and any(b & chosen == b for b in blocked[seen:]):
+                continue  # covers a set blocked after this state was pushed
             unhit = [s & allowed for s in sets if not s & chosen]
             if not unhit:
+                # kept, so that asking again with nothing added repeats it
+                stack.append((chosen, allowed, n_blocked))
                 return chosen
             if not all(unhit):
                 continue  # an unhit set has no allowed element left
@@ -95,23 +167,9 @@ def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
                 branch ^= low
                 child = chosen | low
                 if not any(b & child == b for b in blocked_with.get(low, ())):
-                    children.append((child, allowed))
+                    children.append((child, allowed, n_blocked))
                 allowed ^= low  # later siblings exclude this element
             stack.extend(reversed(children))
-        return None
-
-    if smallest:
-        for cap in range(len(universe) + 1):
-            found = search(cap)
-            if found is not None:
-                break
-    else:
-        found = search(None)
-        if found is not None:
-            found = _shrink(found, sets)
-    if found is None:
-        return None
-    return frozenset(e for e, b in bit.items() if found & b)
 
 
 def _shrink(chosen: int, sets: list[int]) -> int:
@@ -129,18 +187,32 @@ def _shrink(chosen: int, sets: list[int]) -> int:
     return chosen
 
 
+def _solver(instance: HittingSetInstance, smallest: bool, budget: int) -> HittingSetSolver:
+    solver = HittingSetSolver(instance.universe, smallest, budget)
+    for s in instance.to_hit:
+        solver.add_to_hit(s)
+    for b in instance.blocked:
+        solver.add_blocked(b)
+    return solver
+
+
+def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
+                        budget: int = DEFAULT_NODE_BUDGET) -> Optional[frozenset[int]]:
+    """A subset-minimal hitting set of `to_hit` that is a superset of no
+    blocked set, or None when no such set exists.
+
+    With `smallest=True` the result is additionally of minimum cardinality.
+    """
+    return _solver(instance, smallest, budget).next()
+
+
 def iterate_minimal_hitting_sets(instance: HittingSetInstance, smallest: bool = False,
                                  budget: int = DEFAULT_NODE_BUDGET) -> Iterator[frozenset[int]]:
     """Enumerate the complete family of minimal hitting sets by iterated
-    blocking: each reported set is added to `blocked`, which excludes exactly
-    its supersets and therefore no other minimal hitting set."""
-    blocked = list(instance.blocked)
-    while True:
-        found = minimal_hitting_set(
-            HittingSetInstance(instance.universe, instance.to_hit, tuple(blocked)),
-            smallest=smallest, budget=budget,
-        )
-        if found is None:
-            return
+    blocking: each reported set is blocked, which excludes exactly its
+    supersets and therefore no other minimal hitting set.  It is one search,
+    resumed after each block."""
+    solver = _solver(instance, smallest, budget)
+    while (found := solver.next()) is not None:
         yield found
-        blocked.append(found)
+        solver.add_blocked(found)

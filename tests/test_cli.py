@@ -114,6 +114,22 @@ def test_verify_all16(capsys, poole_file, all16_file):
     assert all("ok" in line for line in out.splitlines())
 
 
+def test_verify_checks_each_explanation(capsys, monkeypatch, poole_file, e2_file):
+    # {L} alone does not entail e2's prediction, yet the two one-set
+    # families are exact duals: only the per-explanation checks see it
+    from dualxp.explain import AXp, CXp
+
+    L = 2
+
+    def wrong(problem, **kwargs):
+        return [AXp(frozenset({L}))], [CXp(frozenset({L}), problem.targets)]
+
+    monkeypatch.setattr("dualxp.cli.enumerate_all", wrong)
+    code, out, _ = run(capsys, "verify", "-m", poole_file, "-i", e2_file)
+    assert code == 1
+    assert out == "row 0: AXp {2}: not sufficient for the prediction\n"
+
+
 def test_stats(capsys, tmp_path, poole_file, all16_file):
     out_csv = tmp_path / "stats.csv"
     code, out, _ = run(capsys, "stats", "-m", poole_file, "-i", all16_file,

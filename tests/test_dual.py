@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import A, L, T, W
@@ -35,6 +37,21 @@ def test_iterate_explanations_stops_early(poole, e2):
     first = next(iterate_explanations(problem_for(poole, e2), state=state))
     assert state.iterations == 1
     assert state.axps + state.cxps == [first]
+
+
+def test_iterate_explanations_continues_from_state(small_corpus):
+    # a new call on a state that already holds explanations picks up the
+    # enumeration exactly where the first call stopped
+    for tree, instance in small_corpus[:20]:
+        problem = problem_for(tree, instance)
+        for smallest in (False, True):
+            full = list(iterate_explanations(problem, smallest=smallest))
+            for stop in range(len(full) + 1):
+                state = EnumerationState()
+                head = list(itertools.islice(
+                    iterate_explanations(problem, smallest=smallest, state=state), stop))
+                tail = list(iterate_explanations(problem, smallest=smallest, state=state))
+                assert head + tail == full
 
 
 def test_enumerate_all_goldens(poole, e1, e2):

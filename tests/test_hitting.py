@@ -9,6 +9,7 @@ from dualxp.dual import minimal_transversals
 from dualxp.hitting import (
     BudgetExceeded,
     HittingSetInstance,
+    HittingSetSolver,
     iterate_minimal_hitting_sets,
     minimal_hitting_set,
 )
@@ -58,8 +59,12 @@ def test_unhittable():
 
 
 def test_outside_universe_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as expected:
         hs([0], [{5}])
+    for add in (HittingSetSolver([0]).add_to_hit, HittingSetSolver([0]).add_blocked):
+        with pytest.raises(ValueError) as raised:
+            add({0, 5})
+        assert str(raised.value) == str(expected.value)
 
 
 def test_budget():
@@ -88,7 +93,8 @@ def test_iterated_enumeration_matches_exhaustive():
             for _ in range(rng.randint(1, 10))
         ]
         expected = exhaustive_minimal_hitting_sets(universe, to_hit)
-        assert set(iterate_minimal_hitting_sets(hs(universe, to_hit))) == expected
+        found = list(iterate_minimal_hitting_sets(hs(universe, to_hit)))
+        assert len(found) == len(expected) and set(found) == expected
         assert minimal_transversals([frozenset(s) for s in to_hit]) == expected
 
 
@@ -151,3 +157,34 @@ def test_blocked_search_matches_berge_reference(data):
     assert found in allowed
     assert smallest in allowed
     assert len(smallest) == min(len(t) for t in allowed)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_solver_matches_fresh_search_after_every_step(data):
+    # one solver driven through random interleavings of adds and next();
+    # after each batch of adds, next() must equal a fresh search on
+    # everything added so far, whether it resumed or started again
+    n = data.draw(st.integers(1, 16))
+    universe = data.draw(st.permutations(range(n)))
+    smallest = data.draw(st.booleans())
+    solver = HittingSetSolver(universe, smallest=smallest)
+    subsets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6)
+    to_hit, blocked = [], []
+    found = None
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        ops = data.draw(st.lists(st.sampled_from(["hit", "block", "block found"]),
+                                 max_size=3), label="ops")
+        for op in ops:
+            if op == "hit":
+                to_hit.append(data.draw(subsets))
+                solver.add_to_hit(to_hit[-1])
+            elif op == "block" or found is None:
+                blocked.append(data.draw(subsets))
+                solver.add_blocked(blocked[-1])
+            else:  # the enumeration loop blocks each answer it accepts
+                blocked.append(found)
+                solver.add_blocked(found)
+        found = solver.next()
+        assert found == minimal_hitting_set(hs(universe, to_hit, blocked),
+                                            smallest=smallest)
