@@ -15,13 +15,13 @@ import os
 import sys
 import traceback
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .dual import BudgetExceeded, _format_set, enumerate_all, iterate_explanations, verify_duality
 from .explain import (AXp, CXp, check_axp, check_cxp, cxp_witness, extract_axp,
                       extract_cxp, make_problem, targeted_cxp)
 from .hitting import DEFAULT_NODE_BUDGET
-from .model import Classifier, FeatureSpace, Instance, ModelError, PartialAssignment
+from .model import Classifier, FeatureSpace, Instance, ModelError
 from .modelio import ParseError, parse_instances, parse_model
 from .oracle import DEFAULT_COMPLETION_CAP, Oracle, SearchSpaceExceeded
 from .reporting import collect_stats
@@ -96,20 +96,18 @@ def _parse_targets(spec: Optional[str], classifier: Classifier) -> Optional[froz
     return frozenset(out)
 
 
-def _format_assignment(assignment: PartialAssignment, space: FeatureSpace) -> str:
-    parts = [
-        f"{space.names[l.feature]}={space.domains[l.feature][l.value]}"
-        for l in sorted(assignment.literals)
-    ]
-    return "{" + ", ".join(parts) + "}"
-
-
-def _literals_json(features: frozenset[int], instance: Instance,
-                   space: FeatureSpace) -> dict[str, str]:
+def _literals(features: frozenset[int], values: Mapping[int, int] | Sequence[int],
+              space: FeatureSpace) -> dict[str, str]:
+    """Feature name to category name for each of `features`, in feature
+    order, with the value of feature f read as `values[f]`."""
     return {
-        space.names[f]: space.domains[f][instance.values[f]]
+        space.names[f]: space.domains[f][values[f]]
         for f in range(space.n_features) if f in features
     }
+
+
+def _braced(literals: dict[str, str]) -> str:
+    return "{" + ", ".join(f"{n}={v}" for n, v in literals.items()) + "}"
 
 
 def _oracle(classifier: Classifier) -> Oracle:
@@ -127,19 +125,21 @@ def cmd_predict(args) -> int:
 
 def cmd_axp(args) -> int:
     classifier, instances = _load(args)
-    order = _parse_order(args.order, classifier.space)
+    space = classifier.space
+    order = _parse_order(args.order, space)
     for instance in instances:
         oracle = _oracle(classifier)
         problem = make_problem(oracle, instance)
         axp = extract_axp(problem, order=order)
         print(f"{classifier.classes[problem.predicted]}: "
-              f"{_format_assignment(axp.assignment(instance), classifier.space)}")
+              f"{_braced(_literals(axp.features, instance.values, space))}")
     return EXIT_OK
 
 
 def cmd_cxp(args) -> int:
     classifier, instances = _load(args)
-    order = _parse_order(args.order, classifier.space)
+    space = classifier.space
+    order = _parse_order(args.order, space)
     targets = _parse_targets(args.target, classifier)
     for instance in instances:
         oracle = _oracle(classifier)
@@ -152,9 +152,10 @@ def cmd_cxp(args) -> int:
             print(f"{classifier.classes[problem.predicted]}: none")
             continue
         witness = cxp_witness(problem, cxp)
+        replaced = {l.feature: l.value for l in witness.replacement.literals}
         print(f"{classifier.classes[problem.predicted]}: "
-              f"{_format_assignment(cxp.assignment(instance), classifier.space)}"
-              f" -> {_format_assignment(witness.replacement, classifier.space)}"
+              f"{_braced(_literals(cxp.features, instance.values, space))}"
+              f" -> {_braced(_literals(cxp.features, replaced, space))}"
               f" ({classifier.classes[witness.witness_class]})")
     return EXIT_OK
 
@@ -184,7 +185,7 @@ def cmd_enum(args) -> int:
                 "row": row,
                 "kind": _kind(explanation),
                 "class": classifier.classes[problem.predicted],
-                "literals": _literals_json(explanation.features, instance, space),
+                "literals": _literals(explanation.features, instance.values, space),
             }))
     return EXIT_OK
 
@@ -217,10 +218,10 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
-    budget = _budget()
     report = collect_stats(
         classifier, instances, order=order,
-        completion_cap=budget, mhs_budget=budget,
+        completion_cap=_budget() or DEFAULT_COMPLETION_CAP,
+        mhs_budget=_mhs_budget(),
     )
     csv_text = report.to_csv(timing=args.timing)
     Path(args.output).write_text(csv_text)

@@ -224,16 +224,8 @@ def brute_force_explanations(classifier: Classifier, instance: Instance,
             if all(p == predicted for p in predictions):
                 sufficient.append(frozenset(combo))
     axps = _minimal_family(sufficient)
-    corrections = []
-    for r in range(1, n + 1):
-        for combo in itertools.combinations(all_features, r):
-            rho = frozenset(combo)
-            predictions = _completion_predictions(
-                classifier, instance, frozenset(all_features) - rho)
-            if any(p != predicted for p in predictions):
-                corrections.append(rho)
-    cxps = _minimal_family(corrections)
-    return axps, cxps
+    others = frozenset(range(classifier.n_classes)) - {predicted}
+    return axps, brute_force_corrections(classifier, instance, others)
 
 
 def brute_force_corrections(classifier: Classifier, instance: Instance,

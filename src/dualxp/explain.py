@@ -2,7 +2,7 @@
 sets (CXps), targeted CXps, and CXp witnesses.
 
 AXps come from a deletion loop (linear in the number of features); CXps from
-a grow-to-maximal loop over the literals kept fixed, reusing the last witness
+a grow-to-maximal loop over the features kept fixed, reusing the last witness
 to skip queries that cannot fail.
 """
 from __future__ import annotations
@@ -63,9 +63,6 @@ class AXp:
 
     features: frozenset[int]
 
-    def assignment(self, instance: Instance) -> PartialAssignment:
-        return instance.restrict(self.features)
-
 
 @dataclass(frozen=True)
 class CXp:
@@ -74,9 +71,6 @@ class CXp:
 
     features: frozenset[int]
     targets: frozenset[int]
-
-    def assignment(self, instance: Instance) -> PartialAssignment:
-        return instance.restrict(self.features)
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,7 @@ def cxp_witness(problem: ExplanationProblem, cxp: CXp) -> CxpWitness:
     w = problem.oracle.find_counterexample(tau, fixed, problem.targets)
     if w is None:
         raise ModelError("internal defect: no witness exists for a valid CXp")
-    replacement = w.restrict(cxp.features)
+    replacement = PartialAssignment.of((f, w.values[f]) for f in cxp.features)
     return CxpWitness(cxp, replacement, problem.oracle.predict(w))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 MAX_SPACE_SIZE = 2 ** 62
 
@@ -78,7 +78,7 @@ class FeatureSpace:
             ) from None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Literal:
     """A single (feature = value) pair, both stored as indices."""
 
@@ -88,7 +88,9 @@ class Literal:
 
 @dataclass(frozen=True)
 class PartialAssignment:
-    """A consistent set of literals: at most one per feature (a cube)."""
+    """A consistent set of literals: at most one per feature (a cube).  The
+    type of `CxpWitness.replacement`; explanations themselves are feature-index
+    sets read against their instance."""
 
     literals: frozenset[Literal]
 
@@ -98,31 +100,8 @@ class PartialAssignment:
             raise InconsistentAssignment("two literals on the same feature")
 
     @staticmethod
-    def empty() -> "PartialAssignment":
-        return PartialAssignment(frozenset())
-
-    @staticmethod
     def of(pairs: Iterable[tuple[int, int]]) -> "PartialAssignment":
         return PartialAssignment(frozenset(Literal(f, v) for f, v in pairs))
-
-    @property
-    def features(self) -> frozenset[int]:
-        return frozenset(l.feature for l in self.literals)
-
-    def restrict(self, keep: Iterable[int]) -> "PartialAssignment":
-        keep = set(keep)
-        return PartialAssignment(
-            frozenset(l for l in self.literals if l.feature in keep)
-        )
-
-    def __len__(self) -> int:
-        return len(self.literals)
-
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(sorted(self.literals))
-
-    def __contains__(self, literal: Literal) -> bool:
-        return literal in self.literals
 
 
 @dataclass(frozen=True)
@@ -130,19 +109,6 @@ class Instance:
     """A full assignment: one value index per feature, in feature order."""
 
     values: tuple[int, ...]
-
-    def literal(self, feature: int) -> Literal:
-        return Literal(feature, self.values[feature])
-
-    def assignment(self) -> PartialAssignment:
-        return PartialAssignment.of(enumerate(self.values))
-
-    def restrict(self, keep: Iterable[int]) -> PartialAssignment:
-        keep = set(keep)
-        return PartialAssignment.of((f, v) for f, v in enumerate(self.values) if f in keep)
-
-    def agrees(self, literal: Literal) -> bool:
-        return self.values[literal.feature] == literal.value
 
     @property
     def n_features(self) -> int:

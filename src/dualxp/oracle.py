@@ -14,7 +14,6 @@ Every public query bumps the per-session OracleStats exactly once.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Optional
 
@@ -36,13 +35,11 @@ class SearchSpaceExceeded(ModelError):
 
 @dataclass
 class OracleStats:
-    """Query counters and wall-time accumulators for one explanation session."""
+    """Query counters for one explanation session."""
 
     predict_calls: int = 0
     entailment_calls: int = 0
     witness_calls: int = 0
-    entailment_time: float = 0.0
-    witness_time: float = 0.0
 
     @property
     def total_calls(self) -> int:
@@ -159,15 +156,11 @@ class Oracle:
         """True iff every completion of the `kept` features of `instance`
         predicts `target_class`."""
         self.stats.entailment_calls += 1
-        t0 = time.perf_counter()
         values = _kept_values(instance, kept)
         others = frozenset(range(self.n_classes)) - {target_class}
-        try:
-            if isinstance(self.classifier, DecisionTree):
-                return _tree_path(self.classifier.tree, values, others) is None
-            return self._ensemble_completion(values, others) is None
-        finally:
-            self.stats.entailment_time += time.perf_counter() - t0
+        if isinstance(self.classifier, DecisionTree):
+            return _tree_path(self.classifier.tree, values, others) is None
+        return self._ensemble_completion(values, others) is None
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int]) -> Optional[Instance]:
@@ -176,15 +169,11 @@ class Oracle:
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
-        t0 = time.perf_counter()
         values = _kept_values(instance, kept)
         targets = frozenset(targets)
-        try:
-            if isinstance(self.classifier, DecisionTree):
-                return self._tree_completion(values, targets)
-            return self._ensemble_completion(values, targets)
-        finally:
-            self.stats.witness_time += time.perf_counter() - t0
+        if isinstance(self.classifier, DecisionTree):
+            return self._tree_completion(values, targets)
+        return self._ensemble_completion(values, targets)
 
     # internal machinery (not counted in stats)
 

@@ -9,8 +9,9 @@ from typing import Optional, Sequence
 
 from .dual import enumerate_all
 from .explain import make_problem
+from .hitting import DEFAULT_NODE_BUDGET
 from .model import Classifier, Instance
-from .oracle import Oracle, OracleStats
+from .oracle import DEFAULT_COMPLETION_CAP, Oracle
 
 
 @dataclass
@@ -86,17 +87,15 @@ class StatsReport:
 
 def collect_stats(classifier: Classifier, instances: Sequence[Instance],
                   order: Optional[Sequence[int]] = None,
-                  completion_cap: Optional[int] = None,
-                  mhs_budget: Optional[int] = None) -> StatsReport:
+                  completion_cap: int = DEFAULT_COMPLETION_CAP,
+                  mhs_budget: int = DEFAULT_NODE_BUDGET) -> StatsReport:
     """Run full enumeration per instance with a fresh oracle session each."""
     report = StatsReport()
     for row, instance in enumerate(instances):
-        kwargs = {} if completion_cap is None else {"completion_cap": completion_cap}
-        oracle = Oracle(classifier, OracleStats(), **kwargs)
+        oracle = Oracle(classifier, completion_cap=completion_cap)
         t0 = time.perf_counter()
         problem = make_problem(oracle, instance)
-        enum_kwargs = {} if mhs_budget is None else {"mhs_budget": mhs_budget}
-        axps, cxps = enumerate_all(problem, order=order, **enum_kwargs)
+        axps, cxps = enumerate_all(problem, order=order, mhs_budget=mhs_budget)
         elapsed = time.perf_counter() - t0
         axp_sizes = [len(a.features) for a in axps]
         cxp_sizes = [len(c.features) for c in cxps]

@@ -186,9 +186,10 @@ def test_criterion_6_mhs_exactness():
             frozenset(rng.sample(universe, rng.randint(1, n)))
             for _ in range(rng.randint(1, 10))
         )
-        got = set(iterate_minimal_hitting_sets(
+        found = list(iterate_minimal_hitting_sets(
             HittingSetInstance(universe, to_hit)
         ))
+        got = set(found)
         hitting = [
             frozenset(c)
             for r in range(n + 1)
@@ -196,7 +197,7 @@ def test_criterion_6_mhs_exactness():
             if all(frozenset(c) & s for s in to_hit)
         ]
         expected = {h for h in hitting if not any(o < h for o in hitting)}
-        if got != expected:
+        if got != expected or len(found) != len(got):
             ok = False
     _report("criterion 6: exact minimal-hitting-set enumeration", ok)
 

@@ -5,7 +5,6 @@ import pytest
 
 from dualxp.bundled import _read
 from dualxp.cli import main
-from dualxp.model import PartialAssignment
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import A, L, READS, SKIPS, T, W, e3_fixture
+from dualxp.bundled import synthetic_ensemble_model, synthetic_instances_csv
 from dualxp.dual import brute_force_corrections, brute_force_explanations
 from dualxp.explain import (
     CXp,
@@ -15,7 +16,8 @@ from dualxp.explain import (
     targeted_cxp,
 )
 from dualxp.model import Instance, ModelError, PartialAssignment
-from dualxp.oracle import Oracle, OracleStats
+from dualxp.modelio import parse_instances
+from dualxp.oracle import Oracle, OracleStats, raw_predict
 
 
 def problem_for(classifier, instance, targets=None):
@@ -159,6 +161,25 @@ def test_cxp_witness_goldens(poole, e2):
         (T, space.value_index(T, "followUp")),
         (A, space.value_index(A, "unknown")),
     ])
+
+
+def test_cxp_witness_replacement_reaches_witness_class(small_corpus):
+    ensemble = synthetic_ensemble_model()
+    rows = parse_instances(synthetic_instances_csv(), ensemble.space)[:5]
+    pairs = small_corpus[:80] + [(ensemble, row) for row in rows]
+    for classifier, instance in pairs:
+        problem = problem_for(classifier, instance)
+        cxp = extract_cxp(problem)
+        if cxp is None:
+            continue
+        witness = cxp_witness(problem, cxp)
+        replaced = {l.feature: l.value for l in witness.replacement.literals}
+        assert set(replaced) == cxp.features
+        values = list(instance.values)
+        for f, v in replaced.items():
+            values[f] = v
+        assert raw_predict(classifier, tuple(values)) == witness.witness_class
+        assert witness.witness_class in problem.targets
 
 
 def test_extracted_explanations_pass_checkers(small_corpus):

@@ -1,13 +1,10 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import A, L, T, W
+from conftest import L
 from dualxp.model import (
     DecisionTree,
     FeatureSpace,
     InconsistentAssignment,
-    Instance,
     Leaf,
     Literal,
     ModelError,
@@ -50,27 +47,8 @@ def test_feature_space_size_cap():
 def test_partial_assignment_consistency():
     pa = PartialAssignment.of([(0, 1), (2, 0)])
     assert pa.literals == frozenset({Literal(0, 1), Literal(2, 0)})
-    assert pa.features == frozenset({0, 2})
     with pytest.raises(InconsistentAssignment):
         PartialAssignment.of([(0, 1), (0, 2)])
-
-
-def test_restrict_golden(poole, e2):
-    sub = e2.restrict({L, T})
-    assert sub == PartialAssignment.of([(L, 1), (T, 0)])
-    assert e2.restrict(range(4)) == e2.assignment()
-    assert e2.restrict(set()) == PartialAssignment.empty()
-
-
-@given(
-    values=st.tuples(*[st.integers(0, 1)] * 4),
-    keep1=st.sets(st.integers(0, 3)),
-    extra=st.sets(st.integers(0, 3)),
-)
-def test_restrict_monotone(values, keep1, extra):
-    inst = Instance(values)
-    keep2 = keep1 | extra
-    assert inst.restrict(keep1).literals <= inst.restrict(keep2).literals
 
 
 def test_validate_poole_ok(poole):
