@@ -270,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort-size", action="store_true",
                    help="sort each row's output by explanation size")
     p.add_argument("--smallest", action="store_true",
-                   help="use minimum-cardinality hitting sets in the joint "
-                        "enumerator")
+                   help="enumerate AXps as minimum-cardinality hitting "
+                        "sets, smallest first")
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("verify", help="enumerate everything, check the "

@@ -1,12 +1,17 @@
-"""The joint enumerator built on the AXp/CXp hitting-set duality, plus the
-duality verifier and brute-force reference implementations.
+"""The enumerator of both explanation families, built on the AXp/CXp
+hitting-set duality, plus the duality verifier and brute-force reference
+implementations.
 
-The joint enumerator follows the implicit-hitting-set scheme: propose a
-minimal hitting set of the correction sets found so far (avoiding supersets
-of known sufficient sets); if it entails the prediction it is a new AXp,
-otherwise the counterexample seeds the growth of a new CXp disjoint from the
-candidate, guaranteeing progress.  It is the only enumeration loop: a
-CXp-only enumeration is its output with the AXps left out.
+The AXps are exactly the minimal hitting sets of the CXps.  A decision tree
+gets its CXps from one walk of its paths (each CXp is a minimal
+disagreement set of a path to a target leaf) and its AXps from one
+hitting-set enumeration over them, with no oracle query.  An ensemble runs
+the joint loop of the implicit-hitting-set scheme: propose a minimal
+hitting set of the correction sets found so far (avoiding supersets of
+known sufficient sets); if it entails the prediction it is a new AXp,
+otherwise the counterexample seeds the growth of a new CXp disjoint from
+the candidate, guaranteeing progress.  `iterate_explanations` is the one
+entry point: a CXp-only enumeration is its output with the AXps left out.
 """
 from __future__ import annotations
 
@@ -15,10 +20,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from .explain import AXp, CXp, ExplanationProblem, _grow_correction, _order
-from .hitting import DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetSolver
+from .hitting import (DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetInstance,
+                      HittingSetSolver, iterate_minimal_hitting_sets)
 from .hitting import minimal_hitting_set  # noqa: F401  (perfbench's tracer patches it here)
-from .model import Classifier, Instance, ModelError
-from .oracle import raw_predict
+from .model import Classifier, DecisionTree, Instance, ModelError
+from .oracle import _tree_disagreement_sets, raw_predict
 
 DEFAULT_MAX_EXPLANATIONS = 10 ** 5
 BRUTE_FORCE_MAX_FEATURES = 16
@@ -30,9 +36,9 @@ class TooLarge(ModelError):
 
 @dataclass
 class EnumerationState:
-    """Blocking collections of the joint enumerator: reported AXps (whose
-    supersets the hitting-set solver must avoid) and reported CXps (which
-    every new candidate must hit)."""
+    """What an enumeration has reported, which seeds a later call on the
+    same problem: AXps (whose supersets the hitting-set solver must avoid),
+    CXps (which every new candidate must hit), and the iterations taken."""
 
     axps: list[AXp] = field(default_factory=list)
     cxps: list[CXp] = field(default_factory=list)
@@ -52,15 +58,71 @@ def iterate_explanations(problem: ExplanationProblem,
     early still sees what was found and how many iterations it took; the
     explanations a `state` already holds seed the search.  One hitting-set
     solver serves the whole call: each AXp is blocked in it and each CXp is
-    added as a set to hit.  With `smallest=True` candidates are
-    minimum-cardinality hitting sets, so AXps come out in non-decreasing
+    added as a set to hit.  With `smallest=True` the AXps are
+    minimum-cardinality hitting sets, so they come out in non-decreasing
     size order.
+
+    A decision tree yields its CXps first, all taken from one walk of its
+    paths and sorted by size, then by their features' positions in `order`;
+    its AXps follow, as the solver's successive answers.  An ensemble runs
+    the joint loop, which yields the two kinds interleaved as it finds them.
     """
-    ord_ = _order(problem, order)
-    tau = problem.instance
-    oracle = problem.oracle
     if state is None:
         state = EnumerationState()
+    enumerate_ = (_tree_explanations
+                  if isinstance(problem.oracle.classifier, DecisionTree)
+                  else _joint_explanations)
+    yield from enumerate_(problem, _order(problem, order), smallest, mhs_budget,
+                          max_explanations, state)
+
+
+def _record(state: EnumerationState, found: Union[AXp, CXp],
+            max_explanations: int) -> None:
+    (state.axps if isinstance(found, AXp) else state.cxps).append(found)
+    if len(state.axps) + len(state.cxps) > max_explanations:
+        raise BudgetExceeded(f"more than {max_explanations} explanations reported")
+
+
+def _tree_explanations(problem: ExplanationProblem, ord_: list[int],
+                       smallest: bool, mhs_budget: int, max_explanations: int,
+                       state: EnumerationState) -> Iterator[Union[AXp, CXp]]:
+    """The CXps of a decision tree from its path disagreement sets, then its
+    AXps as the minimal hitting sets of the CXps, with no oracle query.  By
+    the duality every answer of the solver, seeded with the complete CXp
+    family, is an AXp."""
+    position = {f: i for i, f in enumerate(ord_)}
+    cxps = sorted(
+        _tree_disagreement_sets(problem.oracle.classifier.tree,
+                                problem.instance.values, problem.targets),
+        key=lambda c: (len(c), sorted(position[f] for f in c)))
+    reported = {c.features for c in state.cxps}
+    for features in cxps:
+        if features not in reported:
+            state.iterations += 1
+            found: Union[AXp, CXp] = CXp(features, problem.targets)
+            _record(state, found, max_explanations)
+            yield found
+    axps = iterate_minimal_hitting_sets(
+        HittingSetInstance(tuple(ord_), tuple(cxps),
+                           tuple(a.features for a in state.axps)),
+        smallest, mhs_budget)
+    for candidate in axps:
+        state.iterations += 1
+        found = AXp(candidate)
+        _record(state, found, max_explanations)
+        yield found
+    state.iterations += 1  # the last answer, that there are no more
+
+
+def _joint_explanations(problem: ExplanationProblem, ord_: list[int],
+                        smallest: bool, mhs_budget: int, max_explanations: int,
+                        state: EnumerationState) -> Iterator[Union[AXp, CXp]]:
+    """The implicit-hitting-set loop, for any classifier: each candidate is
+    a minimal hitting set of the CXps found so far that covers no AXp found
+    so far, and one oracle query decides whether it is a new AXp or seeds a
+    new CXp."""
+    tau = problem.instance
+    oracle = problem.oracle
     solver = HittingSetSolver(ord_, smallest, mhs_budget)
     for c in state.cxps:
         solver.add_to_hit(c.features)
@@ -76,7 +138,6 @@ def iterate_explanations(problem: ExplanationProblem,
             # candidate entails the prediction; minimality among hitting sets
             # of the full CXp family makes it a minimal sufficient set
             found: Union[AXp, CXp] = AXp(candidate)
-            state.axps.append(found)
             solver.add_blocked(candidate)
         else:
             # fix everything the witness agrees with (a superset of the
@@ -85,12 +146,8 @@ def iterate_explanations(problem: ExplanationProblem,
             kept = {f for f in ord_ if witness.values[f] == tau.values[f]}
             found = _grow_correction(problem, kept, ord_, witness)
             assert found is not None
-            state.cxps.append(found)
             solver.add_to_hit(found.features)
-        if len(state.axps) + len(state.cxps) > max_explanations:
-            raise BudgetExceeded(
-                f"more than {max_explanations} explanations reported"
-            )
+        _record(state, found, max_explanations)
         yield found
 
 

@@ -4,6 +4,8 @@ All types are frozen dataclasses and safe to share across workers once validated
 Trees are built and validated as `Leaf`/`Split` node objects; every walk reads
 the flat arrays of `TreeStructure.arrays` instead, compiled lazily on first use
 and cached on the tree object, so every oracle over one classifier shares them.
+Splits may share children, so a tree's nodes form a DAG; validation checks
+each node once and requires only that no feature repeats on any path.
 """
 from __future__ import annotations
 
@@ -197,59 +199,89 @@ Classifier = Union[DecisionTree, AdditiveEnsemble]
 
 def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,
                 leaf_check, problems: list[str]) -> None:
+    """Append `tree`'s structural problems to `problems`, in depth-first
+    order from the root.  Splits may share children, so the nodes form a
+    DAG; each node is checked once, however many paths reach it.  A split's
+    feature "repeats on the path" when some ancestor splits on it too, so
+    no feature repeats on any path of a valid tree."""
     n = len(tree.nodes)
     if not (0 <= tree.root < n):
         problems.append(f"{where}: root id {tree.root} out of range")
         return
-    # DFS from root with an explicit stack; detect cycles, repeated path
-    # features, non-total children.  Entries are (parent, node); a split's
-    # id and feature stay on the path until its (split, None) entry is
-    # popped, after all its descendants.
-    visited: set[int] = set()
+    # DFS from root with an explicit stack; detect cycles, non-total
+    # children and out-of-range ids.  Entries are (parent, node, mask of
+    # the features split on along the path); a split's id stays on the
+    # path until its (split, None, 0) entry is popped, after all its
+    # descendants.  A split's repeat verdict needs the features of all its
+    # ancestors, known only once every path to it is walked: its place
+    # among the messages is held by its node id until then.
+    visited = bytearray(n)
     on_path: set[int] = set()
-    path_feats = [0] * space.n_features  # splits on each feature along the path
-    stack: list[tuple[int, Optional[int]]] = [(-1, tree.root)]
+    back_edges: set[tuple[int, int]] = set()  # (split, child) closing a cycle
+    rejoined = False  # some node is reached along a second path
+    finished: list[int] = []  # splits whose descendants are all walked, in order
+    above = [0] * n  # per node, the features its ancestors split on, as bits
+    found: list = []  # messages, and split ids whose verdict is pending
+    stack: list[tuple[int, Optional[int], int]] = [(-1, tree.root, 0)]
     while stack:
-        parent, node_id = stack.pop()
+        parent, node_id, mask = stack.pop()
         if node_id is None:
             on_path.discard(parent)
-            path_feats[tree.nodes[parent].feature] -= 1
+            finished.append(parent)
             continue
         if not (0 <= node_id < n):
-            problems.append(f"{where}: node {parent} child id {node_id} out of range")
+            found.append(f"{where}: node {parent} child id {node_id} out of range")
             continue
         if node_id in on_path:
-            problems.append(f"{where}: cycle through node {node_id}")
+            found.append(f"{where}: cycle through node {node_id}")
+            back_edges.add((parent, node_id))
             continue
-        visited.add(node_id)
+        if visited[node_id]:
+            rejoined = True
+            continue
+        visited[node_id] = 1
         node = tree.nodes[node_id]
         if isinstance(node, Leaf):
-            leaf_check(node_id, node)
+            found.extend(leaf_check(node_id, node))
             continue
+        above[node_id] = mask
         if not (0 <= node.feature < space.n_features):
-            problems.append(f"{where}: node {node_id} feature index out of range")
+            found.append(f"{where}: node {node_id} feature index out of range")
             continue
-        if path_feats[node.feature]:
-            problems.append(
-                f"{where}: feature '{space.names[node.feature]}' repeats on the "
-                f"path to node {node_id}"
-            )
+        found.append(node_id)
         if len(node.children) != space.domain_size(node.feature):
-            problems.append(
+            found.append(
                 f"{where}: node {node_id} non-total children map for feature "
                 f"'{space.names[node.feature]}' "
                 f"({len(node.children)} of {space.domain_size(node.feature)})"
             )
             continue
         on_path.add(node_id)
-        path_feats[node.feature] += 1
-        stack.append((node_id, None))
-        stack.extend((node_id, child) for child in reversed(node.children))
-    unreachable = set(range(n)) - visited
+        stack.append((node_id, None, 0))
+        mask |= 1 << node.feature
+        stack.extend((node_id, child, mask) for child in reversed(node.children))
+    if rejoined:
+        # add the features above every other path to a node.  Without its
+        # back edges the walk is acyclic, and a split finishes after
+        # everything below it: in reverse finishing order every split's
+        # ancestors come before it.
+        for split in reversed(finished):
+            node = tree.nodes[split]
+            mask = above[split] | 1 << node.feature
+            for child in node.children:
+                if 0 <= child < n and (split, child) not in back_edges:
+                    above[child] |= mask
+    for entry in found:
+        if isinstance(entry, str):
+            problems.append(entry)
+        elif above[entry] >> tree.nodes[entry].feature & 1:
+            problems.append(
+                f"{where}: feature '{space.names[tree.nodes[entry].feature]}' "
+                f"repeats on the path to node {entry}"
+            )
+    unreachable = [i for i in range(n) if not visited[i]]
     if unreachable:
-        problems.append(
-            f"{where}: nodes unreachable from root: {sorted(unreachable)}"
-        )
+        problems.append(f"{where}: nodes unreachable from root: {unreachable}")
 
 
 def validate(classifier: Classifier) -> list[str]:
@@ -259,9 +291,10 @@ def validate(classifier: Classifier) -> list[str]:
     if len(classifier.classes) < 2:
         problems.append("fewer than two classes")
     if isinstance(classifier, DecisionTree):
-        def leaf_check(node_id: int, leaf: Leaf) -> None:
+        def leaf_check(node_id: int, leaf: Leaf) -> list[str]:
             if not (0 <= leaf.value < len(classifier.classes)):
-                problems.append(f"tree: leaf {node_id} class index {leaf.value} out of range")
+                return [f"tree: leaf {node_id} class index {leaf.value} out of range"]
+            return []
 
         _check_tree(space, classifier.tree, "tree", leaf_check, problems)
     else:
@@ -274,9 +307,10 @@ def validate(classifier: Classifier) -> list[str]:
             problems.append("ensemble: scale must be a positive integer")
         for ci, group in enumerate(classifier.trees):
             for ti, tree in enumerate(group):
-                def leaf_check(node_id: int, leaf: Leaf, _w=f"class {ci} tree {ti}") -> None:
+                def leaf_check(node_id: int, leaf: Leaf, _w=f"class {ci} tree {ti}") -> list[str]:
                     if not isinstance(leaf.value, int) or isinstance(leaf.value, bool):
-                        problems.append(f"{_w}: leaf {node_id} score is not an integer")
+                        return [f"{_w}: leaf {node_id} score is not an integer"]
+                    return []
 
                 _check_tree(space, tree, f"class {ci} tree {ti}", leaf_check, problems)
     return problems

@@ -10,6 +10,9 @@ not yet in the prediction cache is scored by `raw_predict`.  Every walk,
 predictions and path searches alike, reads the flat node arrays that each
 tree compiles once (`TreeStructure.arrays`, `AdditiveEnsemble.class_arrays`).
 Every public query bumps the per-session OracleStats exactly once.
+
+Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
+of an instance in one walk of the same arrays.
 """
 from __future__ import annotations
 
@@ -107,6 +110,56 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
         for v in range(len(kids) - 1, -1, -1):
             stack.append((kids[v], (link, f, v)))
     return None
+
+
+def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
+                            targets: frozenset[int]) -> list[frozenset[int]]:
+    """The subset-minimal disagreement sets of the paths to leaves with class
+    in `targets`, where a path's disagreement set holds the features on it
+    whose branch differs from `values`.  For the instance `values` these are
+    exactly its CXps into `targets` (Izza, Ignatiev and Marques-Silva, *On
+    Explaining Decision Trees*, 2020).
+
+    One depth-first walk, the agreeing child first, carries the bit mask of
+    the disagreeing features.  A state whose mask covers a set already found
+    cannot lead to a minimal one and is dropped.  So is a state whose mask
+    covers one already expanded at the same node: the leaves below a node,
+    and the disagreements below it, do not depend on the path to it, because
+    no feature repeats on a path.  That rule keeps splits that share
+    children polynomial, where remembering only equal masks would not.
+    """
+    feature, children, value = tree.arrays
+    found: list[int] = []  # an antichain: no mask covers another
+    expanded: dict[int, list[int]] = {}  # node id -> masks expanded there
+    stack = [(tree.root, 0)]
+    while stack:
+        node_id, mask = stack.pop()
+        if any(k & mask == k for k in found):
+            continue
+        # follow the agreeing children down, with the mask unchanged, so
+        # only the states left on the stack need the covering test again
+        f = feature[node_id]
+        while f >= 0:
+            seen = expanded.get(node_id)
+            if seen is None:
+                expanded[node_id] = [mask]
+            elif any(s & mask == s for s in seen):
+                break
+            else:
+                seen.append(mask)
+            kids = children[node_id]
+            agree = values[f]
+            differs = mask | 1 << f
+            for v, kid in enumerate(kids):
+                if v != agree:
+                    stack.append((kid, differs))
+            node_id = kids[agree]
+            f = feature[node_id]
+        if f < 0 and value[node_id] in targets:
+            found = [k for k in found if k & mask != mask]
+            found.append(mask)
+    return [frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
+            for mask in found]
 
 
 def _kept_values(instance: Instance,

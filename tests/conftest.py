@@ -56,6 +56,62 @@ def three_class_tree():
     ))
 
 
+def shared_children_tree():
+    """A tree whose splits share children, built without the parser: node 3
+    is reached three ways and node 4 two ways, so a search that does not
+    remember visited nodes expands them again."""
+    space = FeatureSpace(("X", "Y", "Z"), (("a", "b"), ("0", "1", "2"), ("p", "q")))
+    return validated(DecisionTree(space, ("k0", "k1", "k2"), TreeStructure((
+        Split(0, (1, 2)),
+        Split(1, (3, 4, 3)),
+        Split(1, (4, 3, 5)),
+        Split(2, (6, 7)),
+        Leaf(2),
+        Leaf(0),
+        Leaf(0),
+        Leaf(1),
+    ), 0)))
+
+
+def shared_chain(n: int) -> DecisionTree:
+    """n binary splits in a row, each with both children on the next one,
+    and the last one deciding the class: 2^(n-1) paths through n + 2 nodes."""
+    space = FeatureSpace(tuple(f"x{i}" for i in range(n)), (("a", "b"),) * n)
+    nodes = [Split(i, (i + 1, i + 1)) for i in range(n - 1)]
+    nodes += [Split(n - 1, (n, n + 1)), Leaf(0), Leaf(1)]
+    return DecisionTree(space, ("c0", "c1"), TreeStructure(tuple(nodes), 0))
+
+
+def random_shared_tree(rng: random.Random, space: FeatureSpace, n_classes: int,
+                       n_splits: int) -> DecisionTree:
+    """A random decision tree whose splits share children.  Each split takes
+    its children from the nodes made before it, mostly the latest ones, that
+    do not split on its feature anywhere below; the last split is the root,
+    and the nodes it does not reach are dropped."""
+    nodes = [Leaf(c) for c in range(n_classes)]
+    below = [frozenset()] * n_classes  # the features split on under each node
+    for _ in range(n_splits):
+        f = rng.randrange(space.n_features)
+        options = [i for i, b in enumerate(below) if f not in b]
+        kids = tuple(rng.choice(options[-6:] if rng.random() < 0.7 else options)
+                     for _ in range(space.domain_size(f)))
+        nodes.append(Split(f, kids))
+        below.append(frozenset({f}).union(*(below[k] for k in kids)))
+    reached = {len(nodes) - 1}
+    for i in range(len(nodes) - 1, -1, -1):
+        if i in reached and isinstance(nodes[i], Split):
+            reached.update(nodes[i].children)
+    ids = {old: new for new, old in enumerate(sorted(reached))}
+    kept = tuple(
+        Split(nodes[i].feature, tuple(ids[k] for k in nodes[i].children))
+        if isinstance(nodes[i], Split) else nodes[i]
+        for i in sorted(reached)
+    )
+    return validated(DecisionTree(
+        space, tuple(f"c{i}" for i in range(n_classes)),
+        TreeStructure(kept, len(kept) - 1)))
+
+
 def make_corpus(n_models: int, instances_per_model: int = 5, seed: int = 7,
                 max_features: int = 6):
     """Random (tree, instance) pairs for cross-checking against brute force."""

@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -243,6 +244,29 @@ def test_deep_chain_of_one_value_features(capsys, tmp_path):
         "axp", "cxp"]
 
 
+def test_shared_split_chain(tmp_path):
+    # 60 binary splits, each with both children on the next one: 2^59
+    # paths, so neither validation nor enumeration may walk each path
+    from conftest import shared_chain
+    from dualxp.modelio import serialize_model
+
+    model = tmp_path / "chain.json"
+    model.write_text(serialize_model(shared_chain(60)))
+    inst = tmp_path / "row.csv"
+    inst.write_text(",".join(f"x{i}" for i in range(60)) + "\n"
+                    + ",".join(["a"] * 60) + "\n")
+    proc = _python_m_dualxp("enum", "-m", str(model), "-i", str(inst))
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["literals"] for r in records if r["kind"] == "cxp"] == [{"x59": "a"}]
+
+
 def test_internal_error_exit_code(capsys, monkeypatch, poole_file, e2_file):
     def broken(*args, **kwargs):
         raise RuntimeError("simulated defect")
@@ -257,7 +281,6 @@ def test_internal_error_exit_code(capsys, monkeypatch, poole_file, e2_file):
 def _python_m_dualxp(*argv):
     """`python -m dualxp` with this checkout's package first on the path,
     as a running subprocess.Popen with piped, text-mode output."""
-    import subprocess
     import sys
     from pathlib import Path
 

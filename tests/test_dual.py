@@ -1,19 +1,24 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import A, L, T, W
+from conftest import (A, L, T, W, random_shared_tree, shared_chain,
+                      shared_children_tree)
 from dualxp.dual import (
     EnumerationState,
     TooLarge,
+    _joint_explanations,
     brute_force_explanations,
     enumerate_all,
     iterate_explanations,
     verify_duality,
 )
-from dualxp.explain import CXp, check_axp, check_cxp, make_problem
+from dualxp.explain import AXp, CXp, check_axp, check_cxp, make_problem
 from dualxp.model import Instance
 from dualxp.oracle import Oracle
+from dualxp.synth import (random_instance, random_space, random_tree,
+                          synthetic_ensemble)
 
 
 def problem_for(classifier, instance):
@@ -42,7 +47,13 @@ def test_iterate_explanations_stops_early(poole, e2):
 def test_iterate_explanations_continues_from_state(small_corpus):
     # a new call on a state that already holds explanations picks up the
     # enumeration exactly where the first call stopped
-    for tree, instance in small_corpus[:20]:
+    shared = shared_children_tree()
+    ensemble = synthetic_ensemble(n_features=5, trees_per_class=3)
+    rng = random.Random(5)
+    inputs = small_corpus[:20] + [
+        (shared, Instance((1, 0, 1))), (shared, Instance((0, 2, 0))),
+    ] + [(ensemble, random_instance(rng, ensemble.space)) for _ in range(3)]
+    for tree, instance in inputs:
         problem = problem_for(tree, instance)
         for smallest in (False, True):
             full = list(iterate_explanations(problem, smallest=smallest))
@@ -52,6 +63,64 @@ def test_iterate_explanations_continues_from_state(small_corpus):
                     iterate_explanations(problem, smallest=smallest, state=state), stop))
                 tail = list(iterate_explanations(problem, smallest=smallest, state=state))
                 assert head + tail == full
+
+
+def _tree_reference_inputs():
+    """Random trees above the brute-force cap and trees whose splits share
+    children, with instances and, on three classes, a targeted question."""
+    rng = random.Random(17)
+    models = [shared_children_tree(), shared_chain(12)]
+    for _ in range(12):
+        space = random_space(rng, rng.randint(17, 24), (2, 3))
+        models.append(random_tree(rng, space, rng.randint(2, 3), max_depth=9,
+                                  leaf_prob=0.1))
+    for _ in range(25):
+        space = random_space(rng, rng.randint(3, 10), (2, 3))
+        models.append(random_shared_tree(rng, space, rng.randint(2, 3),
+                                         rng.randint(3, 30)))
+    for model in models:
+        for _ in range(4):
+            instance = random_instance(rng, model.space)
+            basic = make_problem(Oracle(model), instance)
+            yield basic
+            if model.n_classes > 2:
+                other = (basic.predicted + 1) % model.n_classes
+                yield make_problem(Oracle(model), instance, targets={other})
+
+
+def test_tree_enumeration_matches_joint_loop():
+    # the path walk and the hitting-set phase against the joint loop, which
+    # asks the oracle about every candidate, under a random feature order
+    rng = random.Random(3)
+    for problem in _tree_reference_inputs():
+        order = list(range(problem.n_features))
+        rng.shuffle(order)
+        for smallest in (False, True):
+            calls = problem.oracle.stats.total_calls
+            found = list(iterate_explanations(problem, order, smallest))
+            assert problem.oracle.stats.total_calls == calls  # no queries
+            joint = list(_joint_explanations(
+                problem, order, smallest, 10 ** 7, 10 ** 5, EnumerationState()))
+            for kind in (AXp, CXp):
+                got = [e.features for e in found if isinstance(e, kind)]
+                expected = [e.features for e in joint if isinstance(e, kind)]
+                assert len(set(got)) == len(got)
+                assert set(got) == set(expected)
+            # every CXp first, by size and then by position in `order`
+            kinds = [isinstance(e, CXp) for e in found]
+            assert kinds == sorted(kinds, reverse=True)
+            rank = {f: i for i, f in enumerate(order)}
+            keys = [(len(e.features), sorted(rank[f] for f in e.features))
+                    for e in found if isinstance(e, CXp)]
+            assert keys == sorted(keys)
+            # check_axp asks for the prediction itself, so not on a
+            # targeted question, whose AXps only keep the targets out
+            basic = len(problem.targets) == problem.oracle.n_classes - 1
+            for e in found:
+                if isinstance(e, CXp):
+                    assert check_cxp(problem, e) == []
+                elif basic:
+                    assert check_axp(problem, e) == []
 
 
 def test_enumerate_all_goldens(poole, e1, e2):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import L
+from conftest import L, shared_chain
 from dualxp.model import (
     DecisionTree,
     FeatureSpace,
@@ -75,6 +75,20 @@ def test_validate_repeated_feature(poole):
     ))
     problems = validate(bad)
     assert any("repeats on the path" in p for p in problems)
+
+
+def test_validate_shared_children():
+    # node 3 is reached from X=a through Y and from X=b through a split on
+    # Z: Z repeats on one of its paths only, which the walk meets second
+    space = FeatureSpace(("X", "Y", "Z"), (("a", "b"),) * 3)
+    bad = DecisionTree(space, ("c0", "c1"), TreeStructure((
+        Split(0, (1, 2)), Split(1, (3, 3)), Split(2, (3, 4)),
+        Split(2, (4, 5)), Leaf(0), Leaf(1),
+    ), 0))
+    assert validate(bad) == ["tree: feature 'Z' repeats on the path to node 3"]
+    # shared children are legal, and each node is checked once: a chain
+    # of 60 splits has 2^59 paths
+    assert validate(shared_chain(60)) == []
 
 
 def test_validate_class_out_of_range(poole):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import A, L, READS, SKIPS, T, W
+from conftest import A, L, READS, SKIPS, T, W, shared_children_tree
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, Split, TreeStructure, validated)
 from dualxp.oracle import Oracle, OracleStats, SearchSpaceExceeded, raw_predict
@@ -107,27 +107,10 @@ def _check_against_completions(classifier, instance):
             assert oracle.find_counterexample(instance, kept, targets) == first
 
 
-def _shared_children_tree():
-    """A tree whose splits share children, built without the parser: node 3
-    is reached three ways and node 4 two ways, so a search that does not
-    remember visited nodes expands them again."""
-    space = FeatureSpace(("X", "Y", "Z"), (("a", "b"), ("0", "1", "2"), ("p", "q")))
-    return validated(DecisionTree(space, ("k0", "k1", "k2"), TreeStructure((
-        Split(0, (1, 2)),
-        Split(1, (3, 4, 3)),
-        Split(1, (4, 3, 5)),
-        Split(2, (6, 7)),
-        Leaf(2),
-        Leaf(0),
-        Leaf(0),
-        Leaf(1),
-    ), 0)))
-
-
 def test_tree_oracle_matches_brute_force(small_corpus):
     # every kept subset and every non-empty target set, against exhaustive
     # enumeration of the completions in lexicographic order
-    shared = _shared_children_tree()
+    shared = shared_children_tree()
     corpus = small_corpus + [
         (shared, Instance(values))
         for values in itertools.product(range(2), range(3), range(2))
@@ -218,7 +201,7 @@ def test_compiled_walk_matches_node_walk(monkeypatch):
     monkeypatch.setattr(TreeStructure, "arrays", counting)
 
     rng = random.Random(11)
-    models = [_shared_children_tree()]
+    models = [shared_children_tree()]
     for _ in range(30):
         space = random_space(rng, rng.randint(2, 6), (2, 4))
         models.append(random_tree(rng, space, 3, max_depth=5))
