@@ -1,8 +1,9 @@
 """Command-line surface: predict / axp / cxp / enum / verify / stats.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 parse or
-validation error, 4 budget exceeded, 5 internal error (the traceback goes to
-standard error), 141 standard output closed by its reader (no message).
+validation error or a file that cannot be read or written, 4 budget
+exceeded, 5 internal error (the traceback goes to standard error), 141
+standard output closed by its reader (no message).
 The XDUAL_BUDGET environment variable overrides both the ensemble
 completion cap and the hitting-set node budget.
 """
@@ -62,13 +63,13 @@ def _count(text: str) -> int:
 
 def _load(args) -> tuple[Classifier, list[Instance]]:
     try:
-        model_text = Path(args.model).read_text()
-    except OSError as e:
+        model_text = Path(args.model).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read model file: {e}")
     classifier = parse_model(model_text)
     try:
-        csv_text = Path(args.instances).read_text()
-    except OSError as e:
+        csv_text = Path(args.instances).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read instance file: {e}")
     instances = parse_instances(csv_text, classifier.space)
     return classifier, instances
@@ -224,7 +225,11 @@ def cmd_stats(args) -> int:
         mhs_budget=_mhs_budget(),
     )
     csv_text = report.to_csv(timing=args.timing)
-    Path(args.output).write_text(csv_text)
+    try:
+        Path(args.output).write_text(csv_text)
+    except OSError as e:
+        print(f"error: cannot write output file: {e}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"instances: {len(report.rows)}")
     print(f"total axps: {report.total_axps}")
     print(f"total cxps: {report.total_cxps}")

@@ -2,16 +2,16 @@
 hitting-set duality, plus the duality verifier and brute-force reference
 implementations.
 
-The AXps are exactly the minimal hitting sets of the CXps.  A decision tree
-gets its CXps from one walk of its paths (each CXp is a minimal
-disagreement set of a path to a target leaf) and its AXps from one
-hitting-set enumeration over them, with no oracle query.  An ensemble runs
-the joint loop of the implicit-hitting-set scheme: propose a minimal
-hitting set of the correction sets found so far (avoiding supersets of
-known sufficient sets); if it entails the prediction it is a new AXp,
-otherwise the counterexample seeds the growth of a new CXp disjoint from
-the candidate, guaranteeing progress.  `iterate_explanations` is the one
-entry point: a CXp-only enumeration is its output with the AXps left out.
+The AXps are exactly the minimal hitting sets of the CXps.  One loop of the
+implicit-hitting-set scheme enumerates both: propose a minimal hitting set
+of the CXps known so far that covers no AXp found so far, then settle it.
+On an ensemble one oracle query settles it: if it entails the prediction it
+is a new AXp, otherwise the counterexample seeds the growth of a new CXp
+disjoint from the candidate, guaranteeing progress.  A decision tree first
+gets every CXp from one walk of its paths (each CXp is a minimal
+disagreement set of a path to a target leaf), so every later proposal is
+an AXp with no oracle query.  `iterate_explanations` is the one entry
+point: a CXp-only enumeration is its output with the AXps left out.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from .explain import AXp, CXp, ExplanationProblem, _grow_correction, _order
-from .hitting import (DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetInstance,
-                      HittingSetSolver, iterate_minimal_hitting_sets)
+from .hitting import DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetSolver
 from .hitting import minimal_hitting_set  # noqa: F401  (perfbench's tracer patches it here)
 from .model import Classifier, DecisionTree, Instance, ModelError
 from .oracle import _tree_disagreement_sets, raw_predict
@@ -58,96 +57,69 @@ def iterate_explanations(problem: ExplanationProblem,
     early still sees what was found and how many iterations it took; the
     explanations a `state` already holds seed the search.  One hitting-set
     solver serves the whole call: each AXp is blocked in it and each CXp is
-    added as a set to hit.  With `smallest=True` the AXps are
-    minimum-cardinality hitting sets, so they come out in non-decreasing
+    added as a set to hit.  Each iteration reports one explanation, and the
+    last one finds that there are no more.  With `smallest=True` the AXps
+    are minimum-cardinality hitting sets, so they come out in non-decreasing
     size order.
 
     A decision tree yields its CXps first, all taken from one walk of its
     paths and sorted by size, then by their features' positions in `order`;
-    its AXps follow, as the solver's successive answers.  An ensemble runs
-    the joint loop, which yields the two kinds interleaved as it finds them.
+    its AXps follow, as the solver's successive answers.  An ensemble asks
+    the oracle about each answer, and yields the two kinds interleaved as it
+    finds them.
     """
     if state is None:
         state = EnumerationState()
-    enumerate_ = (_tree_explanations
-                  if isinstance(problem.oracle.classifier, DecisionTree)
-                  else _joint_explanations)
-    yield from enumerate_(problem, _order(problem, order), smallest, mhs_budget,
-                          max_explanations, state)
-
-
-def _record(state: EnumerationState, found: Union[AXp, CXp],
-            max_explanations: int) -> None:
-    (state.axps if isinstance(found, AXp) else state.cxps).append(found)
-    if len(state.axps) + len(state.cxps) > max_explanations:
-        raise BudgetExceeded(f"more than {max_explanations} explanations reported")
-
-
-def _tree_explanations(problem: ExplanationProblem, ord_: list[int],
-                       smallest: bool, mhs_budget: int, max_explanations: int,
-                       state: EnumerationState) -> Iterator[Union[AXp, CXp]]:
-    """The CXps of a decision tree from its path disagreement sets, then its
-    AXps as the minimal hitting sets of the CXps, with no oracle query.  By
-    the duality every answer of the solver, seeded with the complete CXp
-    family, is an AXp."""
-    position = {f: i for i, f in enumerate(ord_)}
-    cxps = sorted(
-        _tree_disagreement_sets(problem.oracle.classifier.tree,
-                                problem.instance.values, problem.targets),
-        key=lambda c: (len(c), sorted(position[f] for f in c)))
-    reported = {c.features for c in state.cxps}
-    for features in cxps:
-        if features not in reported:
-            state.iterations += 1
-            found: Union[AXp, CXp] = CXp(features, problem.targets)
-            _record(state, found, max_explanations)
-            yield found
-    axps = iterate_minimal_hitting_sets(
-        HittingSetInstance(tuple(ord_), tuple(cxps),
-                           tuple(a.features for a in state.axps)),
-        smallest, mhs_budget)
-    for candidate in axps:
-        state.iterations += 1
-        found = AXp(candidate)
-        _record(state, found, max_explanations)
-        yield found
-    state.iterations += 1  # the last answer, that there are no more
-
-
-def _joint_explanations(problem: ExplanationProblem, ord_: list[int],
-                        smallest: bool, mhs_budget: int, max_explanations: int,
-                        state: EnumerationState) -> Iterator[Union[AXp, CXp]]:
-    """The implicit-hitting-set loop, for any classifier: each candidate is
-    a minimal hitting set of the CXps found so far that covers no AXp found
-    so far, and one oracle query decides whether it is a new AXp or seeds a
-    new CXp."""
     tau = problem.instance
     oracle = problem.oracle
+    ord_ = _order(problem, order)
     solver = HittingSetSolver(ord_, smallest, mhs_budget)
     for c in state.cxps:
         solver.add_to_hit(c.features)
     for a in state.axps:
         solver.add_blocked(a.features)
+    # a tree's walk finds its complete CXp family, so once that is added to
+    # the solver every answer is an AXp; an ensemble's CXps come one by one
+    walked: Iterator[frozenset[int]] = iter(())
+    is_tree = isinstance(oracle.classifier, DecisionTree)
+    if is_tree:
+        position = {f: i for i, f in enumerate(ord_)}
+        reported = {c.features for c in state.cxps}
+        walked = iter(sorted(
+            (c for c in _tree_disagreement_sets(oracle.classifier.tree, tau.values,
+                                                problem.targets)
+             if c not in reported),
+            key=lambda c: (len(c), sorted(position[f] for f in c))))
     while True:
         state.iterations += 1
-        candidate = solver.next()
-        if candidate is None:
-            return
-        witness = oracle.find_counterexample(tau, candidate, problem.targets)
-        if witness is None:
-            # candidate entails the prediction; minimality among hitting sets
-            # of the full CXp family makes it a minimal sufficient set
-            found: Union[AXp, CXp] = AXp(candidate)
-            solver.add_blocked(candidate)
+        features = next(walked, None)
+        if features is not None:
+            found: Union[AXp, CXp] = CXp(features, problem.targets)
+            solver.add_to_hit(features)
         else:
-            # fix everything the witness agrees with (a superset of the
-            # candidate's complement stays released), grow, and the resulting
-            # CXp is disjoint from the candidate: progress is guaranteed
-            kept = {f for f in ord_ if witness.values[f] == tau.values[f]}
-            found = _grow_correction(problem, kept, ord_, witness)
-            assert found is not None
-            solver.add_to_hit(found.features)
-        _record(state, found, max_explanations)
+            candidate = solver.next()
+            if candidate is None:
+                return
+            witness = (None if is_tree else
+                       oracle.find_counterexample(tau, candidate, problem.targets))
+            if witness is None:
+                # no completion of the candidate reaches the targets (on a
+                # tree the duality says so with no query); minimality among
+                # hitting sets of the full CXp family makes it an AXp
+                found = AXp(candidate)
+                solver.add_blocked(candidate)
+            else:
+                # fix everything the witness agrees with (a superset of the
+                # candidate's complement stays released), grow, and the
+                # resulting CXp is disjoint from the candidate: progress is
+                # guaranteed
+                kept = {f for f in ord_ if witness.values[f] == tau.values[f]}
+                found = _grow_correction(problem, kept, ord_, witness)
+                assert found is not None
+                solver.add_to_hit(found.features)
+        (state.axps if isinstance(found, AXp) else state.cxps).append(found)
+        if len(state.axps) + len(state.cxps) > max_explanations:
+            raise BudgetExceeded(f"more than {max_explanations} explanations reported")
         yield found
 
 

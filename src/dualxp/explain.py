@@ -171,14 +171,18 @@ def cxp_witness(problem: ExplanationProblem, cxp: CXp) -> CxpWitness:
 
 
 def check_axp(problem: ExplanationProblem, axp: AXp) -> list[str]:
-    """Sufficiency plus per-feature necessity, checked by direct oracle calls."""
+    """Sufficiency plus per-feature necessity, checked by direct oracle calls.
+
+    A set is sufficient when no completion of it reaches `problem.targets`:
+    on the basic question that is entailing the prediction, and on a
+    targeted one keeping the targets out."""
     tau = problem.instance
     oracle = problem.oracle
     problems = []
-    if not oracle.entails(tau, axp.features, problem.predicted):
+    if oracle.reaches(tau, axp.features, problem.targets):
         problems.append("not sufficient for the prediction")
     for f in sorted(axp.features):
-        if oracle.entails(tau, axp.features - {f}, problem.predicted):
+        if not oracle.reaches(tau, axp.features - {f}, problem.targets):
             problems.append(f"feature {f} is redundant")
     return problems
 

@@ -110,6 +110,8 @@ def parse_model(text: str) -> Classifier:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     _expect(isinstance(obj, dict), "model file must contain a JSON object")
     version = obj.get("format_version")
     _expect(version == FORMAT_VERSION,
@@ -196,7 +198,10 @@ def serialize_model(classifier: Classifier) -> str:
 def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
     """CSV with a header of feature names (any order), one instance per row."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as e:
+        raise ParseError(f"instance CSV line {reader.line_num}: {e}") from None
     if not rows:
         raise ParseError("instance CSV has no header row")
     header = [h.strip() for h in rows[0]]

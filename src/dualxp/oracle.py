@@ -171,8 +171,9 @@ def _kept_values(instance: Instance,
 class Oracle:
     """Stateful query interface over an immutable classifier.
 
-    `entails` and `find_counterexample` take an instance and the set of its
-    features kept at their instance values; every other feature is free.
+    `entails`, `reaches` and `find_counterexample` take an instance and the
+    set of its features kept at their instance values; every other feature
+    is free.
     On a decision tree each is one iterative path search, plus one more per
     value tried below the last path's branch when building the
     lexicographically first counterexample.
@@ -208,12 +209,19 @@ class Oracle:
                 target_class: int) -> bool:
         """True iff every completion of the `kept` features of `instance`
         predicts `target_class`."""
+        others = frozenset(range(self.n_classes)) - {target_class}
+        return not self.reaches(instance, kept, others)
+
+    def reaches(self, instance: Instance, kept: AbstractSet[int],
+                targets: frozenset[int]) -> bool:
+        """True iff some completion of the `kept` features of `instance`
+        predicts into `targets`.  It builds no completion, and it counts as
+        an entailment query."""
         self.stats.entailment_calls += 1
         values = _kept_values(instance, kept)
-        others = frozenset(range(self.n_classes)) - {target_class}
         if isinstance(self.classifier, DecisionTree):
-            return _tree_path(self.classifier.tree, values, others) is None
-        return self._ensemble_completion(values, others) is None
+            return _tree_path(self.classifier.tree, values, targets) is not None
+        return self._ensemble_completion(values, targets) is not None
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int]) -> Optional[Instance]:

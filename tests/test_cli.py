@@ -149,6 +149,45 @@ def test_parse_error_exit_code(capsys, tmp_path, e2_file):
     assert "error" in err
 
 
+def test_input_not_utf8_exit_code(capsys, tmp_path, poole_file, e2_file):
+    bad = tmp_path / "latin1.bin"
+    bad.write_bytes("A,T,L,W\nknown,new,short,w\xf6rk\n".encode("latin-1"))
+    for model, instances, what in ((str(bad), e2_file, "model"),
+                                   (poole_file, str(bad), "instance")):
+        code, _, err = run(capsys, "predict", "-m", model, "-i", instances)
+        assert code == 3
+        assert err.startswith(f"error: cannot read {what} file: ")
+        assert err.count("\n") == 1
+
+
+def test_deeply_nested_model_json_exit_code(capsys, tmp_path, e2_file):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    code, _, err = run(capsys, "predict", "-m", str(bad), "-i", e2_file)
+    assert code == 3
+    assert err == "error: invalid JSON: nested too deeply\n"
+
+
+def test_csv_cell_over_field_limit_exit_code(capsys, tmp_path, poole_file):
+    bad = tmp_path / "wide.csv"
+    bad.write_text("A,T,L,W\n" + "k" * 200_000 + ",new,short,work\n")
+    code, _, err = run(capsys, "predict", "-m", poole_file, "-i", str(bad))
+    assert code == 3
+    assert err.startswith("error: instance CSV line 2: field larger than")
+    assert err.count("\n") == 1
+
+
+def test_stats_output_into_missing_directory_exit_code(capsys, tmp_path,
+                                                       poole_file, e2_file):
+    target = tmp_path / "missing" / "stats.csv"
+    code, out, err = run(capsys, "stats", "-m", poole_file, "-i", e2_file,
+                         "-o", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot write output file: ")
+    assert err.count("\n") == 1
+
+
 def test_validation_error_exit_code(capsys, tmp_path, e2_file, poole_file):
     import json as j
     obj = j.loads(_read("poole.json"))

@@ -8,7 +8,6 @@ from conftest import (A, L, T, W, random_shared_tree, shared_chain,
 from dualxp.dual import (
     EnumerationState,
     TooLarge,
-    _joint_explanations,
     brute_force_explanations,
     enumerate_all,
     iterate_explanations,
@@ -30,7 +29,8 @@ def cxps_found(problem):
 
 
 def test_enumerate_cxps_goldens(poole, e1, e2):
-    # CXp-only enumeration is the joint loop's CXps, in discovery order
+    # CXp-only enumeration is the full enumeration's CXps; Poole is a tree,
+    # so they come from its path walk, by size and then feature order
     assert cxps_found(problem_for(poole, e1)) == [frozenset({L})]
     assert cxps_found(problem_for(poole, e2)) == [
         frozenset({L}), frozenset({T, A}),
@@ -89,8 +89,12 @@ def _tree_reference_inputs():
 
 
 def test_tree_enumeration_matches_joint_loop():
-    # the path walk and the hitting-set phase against the joint loop, which
-    # asks the oracle about every candidate, under a random feature order
+    # the path walk and the hitting-set phase, under a random feature order,
+    # against checks that share no code with either: Berge dualization and
+    # direct oracle queries.  Together they pin the whole family: a missing
+    # CXp would be a hitting set of the reported AXps, so it would contain a
+    # reported CXp, which minimality forbids; and the exact dual of the
+    # complete CXp family is every AXp
     rng = random.Random(3)
     for problem in _tree_reference_inputs():
         order = list(range(problem.n_features))
@@ -99,28 +103,21 @@ def test_tree_enumeration_matches_joint_loop():
             calls = problem.oracle.stats.total_calls
             found = list(iterate_explanations(problem, order, smallest))
             assert problem.oracle.stats.total_calls == calls  # no queries
-            joint = list(_joint_explanations(
-                problem, order, smallest, 10 ** 7, 10 ** 5, EnumerationState()))
-            for kind in (AXp, CXp):
-                got = [e.features for e in found if isinstance(e, kind)]
-                expected = [e.features for e in joint if isinstance(e, kind)]
-                assert len(set(got)) == len(got)
-                assert set(got) == set(expected)
+            axps = [e.features for e in found if isinstance(e, AXp)]
+            cxps = [e.features for e in found if isinstance(e, CXp)]
+            assert len(set(axps)) == len(axps)
+            assert len(set(cxps)) == len(cxps)
+            report = verify_duality(axps, cxps)
+            assert report.ok, report.violations
             # every CXp first, by size and then by position in `order`
             kinds = [isinstance(e, CXp) for e in found]
             assert kinds == sorted(kinds, reverse=True)
             rank = {f: i for i, f in enumerate(order)}
-            keys = [(len(e.features), sorted(rank[f] for f in e.features))
-                    for e in found if isinstance(e, CXp)]
+            keys = [(len(c), sorted(rank[f] for f in c)) for c in cxps]
             assert keys == sorted(keys)
-            # check_axp asks for the prediction itself, so not on a
-            # targeted question, whose AXps only keep the targets out
-            basic = len(problem.targets) == problem.oracle.n_classes - 1
             for e in found:
-                if isinstance(e, CXp):
-                    assert check_cxp(problem, e) == []
-                elif basic:
-                    assert check_axp(problem, e) == []
+                check = check_cxp if isinstance(e, CXp) else check_axp
+                assert check(problem, e) == []
 
 
 def test_enumerate_all_goldens(poole, e1, e2):
@@ -174,11 +171,18 @@ def test_enumerate_all_smallest_mode(poole, e2):
 
 def test_enumerate_all_iteration_bound(small_corpus):
     # the main loop runs once per reported explanation plus the final failure
-    for tree, instance in small_corpus[:40]:
-        problem = problem_for(tree, instance)
-        state = EnumerationState()
-        axps, cxps = enumerate_all(problem, state=state)
-        assert state.iterations <= len(axps) + len(cxps) + 1
+    shared = shared_children_tree()
+    ensemble = synthetic_ensemble(n_features=5, trees_per_class=3)
+    rng = random.Random(11)
+    inputs = small_corpus[:40] + [
+        (shared, Instance((1, 0, 1))), (shared, Instance((0, 2, 0))),
+    ] + [(ensemble, random_instance(rng, ensemble.space)) for _ in range(5)]
+    for model, instance in inputs:
+        for smallest in (False, True):
+            state = EnumerationState()
+            axps, cxps = enumerate_all(problem_for(model, instance), smallest=smallest,
+                                       state=state)
+            assert state.iterations == len(axps) + len(cxps) + 1
 
 
 def test_verify_duality_pass(poole, e1, e2):

@@ -111,6 +111,33 @@ def test_targeted_three_class(three_class_tree):
         assert witness.witness_class in targets
 
 
+def test_check_axp_on_targeted_questions():
+    # X: a -> split Y (0 -> k1, 1 -> k3), b -> k2, c -> k1.  At (a, 0) the
+    # AXp against {k2} is {X}, although X alone does not entail k1
+    from dualxp.dual import iterate_explanations
+    from dualxp.explain import AXp
+    from dualxp.model import (DecisionTree, FeatureSpace, Leaf, Split,
+                              TreeStructure, validated)
+    space = FeatureSpace(("X", "Y"), (("a", "b", "c"), ("0", "1")))
+    tree = validated(DecisionTree(space, ("k1", "k2", "k3"), TreeStructure((
+        Split(0, (1, 4, 5)), Split(1, (2, 3)), Leaf(0), Leaf(2), Leaf(1), Leaf(0),
+    ), 0)))
+    tau = Instance((0, 0))
+    problem = problem_for(tree, tau, targets={1})
+    axps = [e for e in iterate_explanations(problem) if isinstance(e, AXp)]
+    assert [a.features for a in axps] == [frozenset({0})]
+    assert check_axp(problem, axps[0]) == []
+    # sets that are not AXps against {k2} are still rejected
+    assert check_axp(problem, AXp(frozenset())) == [
+        "not sufficient for the prediction"]
+    assert check_axp(problem, AXp(frozenset({0, 1}))) == ["feature 1 is redundant"]
+    # against {k3} only Y keeps the targets out
+    problem = problem_for(tree, tau, targets={2})
+    assert check_axp(problem, AXp(frozenset({1}))) == []
+    assert check_axp(problem, AXp(frozenset({0}))) == [
+        "not sufficient for the prediction"]
+
+
 def test_targeted_unreachable(three_class_tree):
     # a class list can mention classes no leaf carries
     from dualxp.model import (DecisionTree, FeatureSpace, Leaf, Split,

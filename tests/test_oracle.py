@@ -131,6 +131,24 @@ def test_entails_iff_no_counterexample(small_corpus):
             )
 
 
+def test_reaches_iff_counterexample(small_corpus):
+    # every non-empty target set, on trees and on a small ensemble, with
+    # one entailment query counted per call
+    rng = random.Random(4)
+    ensemble = synthetic_ensemble(n_features=5, trees_per_class=3)
+    inputs = small_corpus[:30] + [
+        (ensemble, random_instance(rng, ensemble.space)) for _ in range(5)]
+    for model, instance in inputs:
+        oracle = Oracle(model)
+        for r in range(1, model.n_classes + 1):
+            for targets in map(frozenset, itertools.combinations(range(model.n_classes), r)):
+                kept = {f for f in range(instance.n_features) if rng.random() < 0.5}
+                before = oracle.stats.entailment_calls
+                assert oracle.reaches(instance, kept, targets) == (
+                    oracle.find_counterexample(instance, kept, targets) is not None)
+                assert oracle.stats.entailment_calls == before + 1
+
+
 def test_entailment_anti_monotone(small_corpus):
     for tree, instance in small_corpus[:60]:
         oracle = Oracle(tree)
