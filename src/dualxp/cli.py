@@ -63,12 +63,12 @@ def _count(text: str) -> int:
 
 def _load(args) -> tuple[Classifier, list[Instance]]:
     try:
-        model_text = Path(args.model).read_text(encoding="utf-8")
+        model_text = Path(args.model).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read model file: {e}")
     classifier = parse_model(model_text)
     try:
-        csv_text = Path(args.instances).read_text(encoding="utf-8")
+        csv_text = Path(args.instances).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read instance file: {e}")
     instances = parse_instances(csv_text, classifier.space)
@@ -219,14 +219,24 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
-    report = collect_stats(
-        classifier, instances, order=order,
-        completion_cap=_budget() or DEFAULT_COMPLETION_CAP,
-        mhs_budget=_mhs_budget(),
-    )
-    csv_text = report.to_csv(timing=args.timing)
+    cap, mhs_budget = _budget() or DEFAULT_COMPLETION_CAP, _mhs_budget()
+    output = Path(args.output)
+    created = not output.exists()
     try:
-        Path(args.output).write_text(csv_text)
+        # opened for append before the enumeration: a path that cannot be
+        # written fails at once, and no file is emptied before there is a
+        # report to write (only a regular file is emptied: /dev/null cannot be)
+        with output.open("a") as out:
+            try:
+                report = collect_stats(classifier, instances, order=order,
+                                       completion_cap=cap, mhs_budget=mhs_budget)
+            except BaseException:
+                if created:
+                    output.unlink()
+                raise
+            if output.is_file():
+                out.truncate(0)
+            out.write(report.to_csv(timing=args.timing))
     except OSError as e:
         print(f"error: cannot write output file: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -48,7 +48,6 @@ def iterate_explanations(problem: ExplanationProblem,
                          order: Optional[Sequence[int]] = None,
                          smallest: bool = False,
                          mhs_budget: int = DEFAULT_NODE_BUDGET,
-                         max_explanations: int = DEFAULT_MAX_EXPLANATIONS,
                          state: Optional[EnumerationState] = None,
                          ) -> Iterator[Union[AXp, CXp]]:
     """Yield every AXp and every basic CXp exactly once, each as it is found.
@@ -118,8 +117,9 @@ def iterate_explanations(problem: ExplanationProblem,
                 assert found is not None
                 solver.add_to_hit(found.features)
         (state.axps if isinstance(found, AXp) else state.cxps).append(found)
-        if len(state.axps) + len(state.cxps) > max_explanations:
-            raise BudgetExceeded(f"more than {max_explanations} explanations reported")
+        if len(state.axps) + len(state.cxps) > DEFAULT_MAX_EXPLANATIONS:
+            raise BudgetExceeded(
+                f"more than {DEFAULT_MAX_EXPLANATIONS} explanations reported")
         yield found
 
 
@@ -127,15 +127,13 @@ def enumerate_all(problem: ExplanationProblem,
                   order: Optional[Sequence[int]] = None,
                   smallest: bool = False,
                   mhs_budget: int = DEFAULT_NODE_BUDGET,
-                  max_explanations: int = DEFAULT_MAX_EXPLANATIONS,
                   state: Optional[EnumerationState] = None,
                   ) -> tuple[list[AXp], list[CXp]]:
     """Complete enumeration of both explanation families, in discovery
     order within each family (see `iterate_explanations`)."""
     if state is None:
         state = EnumerationState()
-    for _ in iterate_explanations(problem, order, smallest, mhs_budget,
-                                  max_explanations, state):
+    for _ in iterate_explanations(problem, order, smallest, mhs_budget, state):
         pass
     return state.axps, state.cxps
 

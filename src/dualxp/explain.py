@@ -188,7 +188,8 @@ def check_axp(problem: ExplanationProblem, axp: AXp) -> list[str]:
 
 
 def check_cxp(problem: ExplanationProblem, cxp: CXp) -> list[str]:
-    """Target reachability after release plus per-feature necessity."""
+    """Target reachability after release plus per-feature necessity, each
+    one `reaches` query, which builds no counterexample."""
     tau = problem.instance
     oracle = problem.oracle
     everything = frozenset(range(problem.n_features))
@@ -196,10 +197,9 @@ def check_cxp(problem: ExplanationProblem, cxp: CXp) -> list[str]:
     if not cxp.features:
         problems.append("empty correction set")
         return problems
-    if oracle.find_counterexample(tau, everything - cxp.features, cxp.targets) is None:
+    if not oracle.reaches(tau, everything - cxp.features, cxp.targets):
         problems.append("releasing the set does not reach the target classes")
     for f in sorted(cxp.features):
-        smaller = cxp.features - {f}
-        if oracle.find_counterexample(tau, everything - smaller, cxp.targets) is not None:
+        if oracle.reaches(tau, everything - (cxp.features - {f}), cxp.targets):
             problems.append(f"feature {f} is redundant")
     return problems

@@ -4,11 +4,14 @@ A query fixes the features in a kept set to their values in an instance and
 leaves the rest free.  Decision trees are answered by one iterative search
 for a feasible path to a leaf of the wanted classes; the counterexample is
 the lexicographically first completion, built feature by feature on the
-last path found.  Additive ensembles are answered by exhaustive enumeration
-of the free-feature product, guarded by a completion cap; each completion
-not yet in the prediction cache is scored by `raw_predict`.  Every walk,
-predictions and path searches alike, reads the flat node arrays that each
-tree compiles once (`TreeStructure.arrays`, `AdditiveEnsemble.class_arrays`).
+last path found.  Additive ensembles are answered by one loop over the
+`itertools.product` of per-feature value ranges (a free feature's domain, a
+kept feature's instance value), which yields full value tuples in
+lexicographic order; the product of the range lengths is capped first.
+Each completion not yet in the prediction cache is scored by `raw_predict`.
+Every walk, predictions and path searches alike, reads the flat node arrays
+that each tree compiles once (`TreeStructure.arrays`,
+`AdditiveEnsemble.class_arrays`).
 Every public query bumps the per-session OracleStats exactly once.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
@@ -17,7 +20,8 @@ of an instance in one walk of the same arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import AbstractSet, Optional
 
 from .model import (
@@ -271,23 +275,15 @@ class Oracle:
 
     def _ensemble_completion(self, sigma_values: list[Optional[int]],
                              targets: frozenset[int]) -> Optional[Instance]:
-        free = [f for f, v in enumerate(sigma_values) if v is None]
-        count = 1
-        for f in free:
-            count *= self.space.domain_size(f)
-            if count > self.completion_cap:
-                raise SearchSpaceExceeded(
-                    f"free-feature product exceeds the completion cap "
-                    f"({self.completion_cap}); fix more features or use a "
-                    f"smaller model"
-                )
-        for combo in itertools.product(
-            *(range(self.space.domain_size(f)) for f in free)
-        ):
-            values = list(sigma_values)
-            for f, v in zip(free, combo):
-                values[f] = v
-            full = tuple(values)
+        ranges = [range(self.space.domain_size(f)) if v is None else (v,)
+                  for f, v in enumerate(sigma_values)]
+        if math.prod(map(len, ranges)) > self.completion_cap:
+            raise SearchSpaceExceeded(
+                f"free-feature product exceeds the completion cap "
+                f"({self.completion_cap}); fix more features or use a "
+                f"smaller model"
+            )
+        for full in itertools.product(*ranges):
             if self._predict(full) in targets:
                 return Instance(full)
         return None

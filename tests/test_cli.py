@@ -160,6 +160,20 @@ def test_input_not_utf8_exit_code(capsys, tmp_path, poole_file, e2_file):
         assert err.count("\n") == 1
 
 
+def test_instance_csv_with_byte_order_mark(capsys, tmp_path, poole_file):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbfA,T,L,W\nknown,new,short,work\n")
+    code, out, err = run(capsys, "predict", "-m", poole_file, "-i", str(bom))
+    assert (code, out, err) == (0, "reads\n", "")
+
+
+def test_model_with_byte_order_mark(capsys, tmp_path, e2_file):
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + _read("poole.json").encode("utf-8"))
+    code, out, err = run(capsys, "axp", "-m", str(bom), "-i", e2_file)
+    assert (code, out, err) == (0, "reads: {T=new, L=short}\n", "")
+
+
 def test_deeply_nested_model_json_exit_code(capsys, tmp_path, e2_file):
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100_000)
@@ -186,6 +200,41 @@ def test_stats_output_into_missing_directory_exit_code(capsys, tmp_path,
     assert out == ""
     assert err.startswith("error: cannot write output file: ")
     assert err.count("\n") == 1
+
+
+def test_stats_output_checked_before_enumeration(capsys, monkeypatch, tmp_path,
+                                                 poole_file, e2_file):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("collect_stats ran before the output was checked")
+
+    monkeypatch.setattr("dualxp.cli.collect_stats", enumerated)
+    target = tmp_path / "missing" / "stats.csv"
+    code, out, err = run(capsys, "stats", "-m", poole_file, "-i", e2_file,
+                         "-o", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot write output file: ")
+
+
+def test_stats_budget_exceeded_leaves_output_alone(capsys, tmp_path, monkeypatch):
+    from dualxp.bundled import synthetic_instances_csv
+
+    model = tmp_path / "ens.json"
+    model.write_text(_read("synth_ensemble.json"))
+    inst = tmp_path / "inst.csv"
+    inst.write_text(synthetic_instances_csv())
+    monkeypatch.setenv("XDUAL_BUDGET", "3")
+    new = tmp_path / "new.csv"
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for target in (new, old):
+        code, out, err = run(capsys, "stats", "-m", str(model), "-i", str(inst),
+                             "-o", str(target))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
 
 
 def test_validation_error_exit_code(capsys, tmp_path, e2_file, poole_file):

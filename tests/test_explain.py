@@ -215,4 +215,9 @@ def test_extracted_explanations_pass_checkers(small_corpus):
         assert check_axp(problem, extract_axp(problem)) == []
         cxp = extract_cxp(problem)
         if cxp is not None:
+            stats = problem.oracle.stats
+            witness_calls, entailment_calls = stats.witness_calls, stats.entailment_calls
             assert check_cxp(problem, cxp) == []
+            # one `reaches` per query: whether a completion gets there, not which
+            assert stats.witness_calls == witness_calls
+            assert stats.entailment_calls == entailment_calls + 1 + len(cxp.features)

@@ -251,3 +251,29 @@ def test_ensemble_cap():
     oracle = Oracle(ensemble, completion_cap=16)
     with pytest.raises(SearchSpaceExceeded):
         oracle.entails(Instance((0,) * 10), set(), 0)
+
+    # the cap bounds the product of the free features' domain sizes (2, 3,
+    # 1 and 4 here); a product equal to the cap is answered, and kept
+    # features count for nothing
+    rng = random.Random(5)
+    space = FeatureSpace(("a", "b", "c", "d"), (("0", "1"), ("0", "1", "2"),
+                                                ("0",), ("0", "1", "2", "3")))
+    mixed = validated(AdditiveEnsemble(
+        space, ("c0", "c1"),
+        tuple(tuple(random_tree(rng, space, 3).tree for _ in range(2))
+              for _ in range(2)),
+        scale=1))
+    point = Instance((1, 2, 0, 3))
+    both = frozenset({0, 1})
+    oracle = Oracle(mixed, completion_cap=8)
+    for kept in ({1}, {1, 2}, {0, 1, 2, 3}):  # free product 8, 8 and 1
+        assert oracle.reaches(point, kept, both)
+        assert oracle.find_counterexample(point, kept, both) is not None
+    too_many = r"free-feature product exceeds the completion cap \(8\)"
+    for kept in ({2}, set()):  # b freed as well: 24
+        with pytest.raises(SearchSpaceExceeded, match=too_many):
+            oracle.reaches(point, kept, both)
+        with pytest.raises(SearchSpaceExceeded, match=too_many):
+            oracle.find_counterexample(point, kept, both)
+    with pytest.raises(SearchSpaceExceeded):
+        Oracle(mixed, completion_cap=7).reaches(point, {1}, both)
