@@ -36,22 +36,20 @@ EXIT_INTERNAL = 5
 EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a program the signal ended
 
 
-def _budget() -> Optional[int]:
+def _budgets() -> tuple[int, int]:
+    """The ensemble completion cap and the hitting-set node budget:
+    XDUAL_BUDGET for both when set, else their defaults.  Each command reads
+    it once, so a bad value fails even when there is no row to explain."""
     raw = os.environ.get("XDUAL_BUDGET")
     if raw is None:
-        return None
+        return DEFAULT_COMPLETION_CAP, DEFAULT_NODE_BUDGET
     try:
         value = int(raw)
         if value < 1:
             raise ValueError
-        return value
+        return value, value
     except ValueError:
         raise ParseError(f"XDUAL_BUDGET must be a positive integer, got {raw!r}")
-
-
-def _mhs_budget() -> int:
-    """The hitting-set node budget: XDUAL_BUDGET when set, else the default."""
-    return _budget() or DEFAULT_NODE_BUDGET
 
 
 def _count(text: str) -> int:
@@ -111,14 +109,10 @@ def _braced(literals: dict[str, str]) -> str:
     return "{" + ", ".join(f"{n}={v}" for n, v in literals.items()) + "}"
 
 
-def _oracle(classifier: Classifier) -> Oracle:
-    cap = _budget()
-    return Oracle(classifier, completion_cap=cap or DEFAULT_COMPLETION_CAP)
-
-
 def cmd_predict(args) -> int:
     classifier, instances = _load(args)
-    oracle = _oracle(classifier)
+    cap, _ = _budgets()
+    oracle = Oracle(classifier, completion_cap=cap)
     for instance in instances:
         print(classifier.classes[oracle.predict(instance)])
     return EXIT_OK
@@ -128,9 +122,9 @@ def cmd_axp(args) -> int:
     classifier, instances = _load(args)
     space = classifier.space
     order = _parse_order(args.order, space)
+    cap, _ = _budgets()
     for instance in instances:
-        oracle = _oracle(classifier)
-        problem = make_problem(oracle, instance)
+        problem = make_problem(Oracle(classifier, completion_cap=cap), instance)
         axp = extract_axp(problem, order=order)
         print(f"{classifier.classes[problem.predicted]}: "
               f"{_braced(_literals(axp.features, instance.values, space))}")
@@ -142,9 +136,10 @@ def cmd_cxp(args) -> int:
     space = classifier.space
     order = _parse_order(args.order, space)
     targets = _parse_targets(args.target, classifier)
+    cap, _ = _budgets()
     for instance in instances:
-        oracle = _oracle(classifier)
-        problem = make_problem(oracle, instance, targets=targets)
+        problem = make_problem(Oracle(classifier, completion_cap=cap), instance,
+                               targets=targets)
         if targets is None:
             cxp = extract_cxp(problem, order=order)
         else:
@@ -169,10 +164,9 @@ def cmd_enum(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
     space = classifier.space
-    mhs_budget = _mhs_budget()
+    cap, mhs_budget = _budgets()
     for row, instance in enumerate(instances):
-        oracle = _oracle(classifier)
-        problem = make_problem(oracle, instance)
+        problem = make_problem(Oracle(classifier, completion_cap=cap), instance)
         found = iterate_explanations(problem, order=order, smallest=args.smallest,
                                      mhs_budget=mhs_budget)
         if args.mode == "cxp":
@@ -194,11 +188,10 @@ def cmd_enum(args) -> int:
 def cmd_verify(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
-    mhs_budget = _mhs_budget()
+    cap, mhs_budget = _budgets()
     failed = False
     for row, instance in enumerate(instances):
-        oracle = _oracle(classifier)
-        problem = make_problem(oracle, instance)
+        problem = make_problem(Oracle(classifier, completion_cap=cap), instance)
         axps, cxps = enumerate_all(problem, order=order, mhs_budget=mhs_budget)
         problems = verify_duality(
             [a.features for a in axps], [c.features for c in cxps]
@@ -219,7 +212,7 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     classifier, instances = _load(args)
     order = _parse_order(args.order, classifier.space)
-    cap, mhs_budget = _budget() or DEFAULT_COMPLETION_CAP, _mhs_budget()
+    cap, mhs_budget = _budgets()
     output = Path(args.output)
     created = not output.exists()
     try:

@@ -75,9 +75,8 @@ class CXp:
 
 @dataclass(frozen=True)
 class CxpWitness:
-    """A CXp together with replacement values realizing the changed class."""
+    """Replacement values for a CXp's features, and the class they realize."""
 
-    cxp: CXp
     replacement: PartialAssignment
     witness_class: int
 
@@ -94,18 +93,19 @@ def extract_axp(problem: ExplanationProblem,
                 seed: Optional[Iterable[int]] = None,
                 order: Optional[Sequence[int]] = None) -> AXp:
     """Deletion-based extraction: exactly one entailment call per seed
-    feature beyond the seed sufficiency check."""
+    feature beyond the seed sufficiency check.  A set is sufficient when no
+    completion of it reaches `problem.targets`, as in `check_axp`."""
     tau = problem.instance
     oracle = problem.oracle
-    pi = problem.predicted
+    targets = problem.targets
     seed_set = set(range(problem.n_features)) if seed is None else set(seed)
-    if not oracle.entails(tau, seed_set, pi):
+    if oracle.reaches(tau, seed_set, targets):
         raise SeedNotSufficient("the seed assignment does not entail the prediction")
     current = set(seed_set)
     for f in _order(problem, order):
         if f not in seed_set:
             continue
-        if oracle.entails(tau, current - {f}, pi):
+        if not oracle.reaches(tau, current - {f}, targets):
             current.discard(f)
     return AXp(frozenset(current))
 
@@ -167,7 +167,7 @@ def cxp_witness(problem: ExplanationProblem, cxp: CXp) -> CxpWitness:
     if w is None:
         raise ModelError("internal defect: no witness exists for a valid CXp")
     replacement = PartialAssignment.of((f, w.values[f]) for f in cxp.features)
-    return CxpWitness(cxp, replacement, problem.oracle.predict(w))
+    return CxpWitness(replacement, problem.oracle.predict(w))
 
 
 def check_axp(problem: ExplanationProblem, axp: AXp) -> list[str]:

@@ -18,9 +18,9 @@ The solver keeps its search between calls.  Branching depends only on the
 sets to hit, so blocking a set only removes subtrees from the search order,
 and no state popped before the last answer was a hitting set.  So after
 `add_blocked` alone, `next()` resumes from the saved stack, which still
-holds the last answer's own state on top.  Each pending state is checked
-when popped against every blocked set added since it was pushed.  After
-`add_to_hit` the search starts again from the root.  Either way `next()`
+holds the last answer's own state on top.  `add_blocked` drops every saved
+state that covers the new set, so no saved state covers a blocked set.
+After `add_to_hit` the search starts again from the root.  Either way `next()`
 returns what a fresh search over everything added so far returns.
 With `smallest=True` it starts at the cap of the last answer: smaller caps
 failed then, and more sets to hit or block cannot make them succeed.
@@ -65,15 +65,14 @@ class HittingSetSolver:
         self.smallest = smallest
         self.budget = budget
         self._bit = {e: 1 << i for i, e in enumerate(self.universe)}
-        self._sets: list[int] = []     # masks to hit, in the order added
-        self._blocked: list[int] = []  # blocked masks, in the order added
+        self._sets: list[int] = []  # masks to hit, in the order added
         # element bit -> blocked masks containing it; a child adds one
         # element, so only these can become covered
         self._blocked_with: dict[int, list[int]] = {}
         self._empty = False  # an empty set to hit or to block: no answer
-        # pending (chosen, allowed, blocked count when pushed) states, or
+        # pending (chosen, allowed) states, none covering a blocked set, or
         # None to start from the root
-        self._stack: Optional[list[tuple[int, int, int]]] = None
+        self._stack: Optional[list[tuple[int, int]]] = None
         self._cap = 0  # smallest mode: the size cap of the current search
 
     def _mask(self, s: Iterable[int]) -> int:
@@ -96,7 +95,8 @@ class HittingSetSolver:
         """Forbid every later answer to cover `s`."""
         m = self._mask(s)
         self._empty = self._empty or not m  # every set covers the empty set
-        self._blocked.append(m)
+        if self._stack is not None:
+            self._stack = [st for st in self._stack if st[0] & m != m]
         rest = m
         while rest:
             low = rest & -rest
@@ -124,8 +124,8 @@ class HittingSetSolver:
             out.append(universe[low.bit_length() - 1])
         return frozenset(out)
 
-    def _root(self) -> tuple[int, int, int]:
-        return 0, (1 << len(self.universe)) - 1, len(self._blocked)
+    def _root(self) -> tuple[int, int]:
+        return 0, (1 << len(self.universe)) - 1
 
     def _search(self) -> Optional[int]:
         """Pop states until the first hitting set in search order, or None.
@@ -133,9 +133,7 @@ class HittingSetSolver:
         again from the root under the next cap."""
         stack = self._stack
         sets = self._sets
-        blocked = self._blocked
         blocked_with = self._blocked_with
-        n_blocked = len(blocked)
         cap = self._cap if self.smallest else None
         budget = self.budget
         nodes = 0
@@ -148,13 +146,11 @@ class HittingSetSolver:
             if nodes >= budget:
                 raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
             nodes += 1
-            chosen, allowed, seen = stack.pop()
-            if seen < n_blocked and any(b & chosen == b for b in blocked[seen:]):
-                continue  # covers a set blocked after this state was pushed
+            chosen, allowed = stack.pop()
             unhit = [s & allowed for s in sets if not s & chosen]
             if not unhit:
                 # kept, so that asking again with nothing added repeats it
-                stack.append((chosen, allowed, n_blocked))
+                stack.append((chosen, allowed))
                 return chosen
             if not all(unhit):
                 continue  # an unhit set has no allowed element left
@@ -167,7 +163,7 @@ class HittingSetSolver:
                 branch ^= low
                 child = chosen | low
                 if not any(b & child == b for b in blocked_with.get(low, ())):
-                    children.append((child, allowed, n_blocked))
+                    children.append((child, allowed))
                 allowed ^= low  # later siblings exclude this element
             stack.extend(reversed(children))
 

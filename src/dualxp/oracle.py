@@ -190,10 +190,10 @@ class Oracle:
     so all oracles over one classifier object share them.
     """
 
-    def __init__(self, classifier: Classifier, stats: Optional[OracleStats] = None,
+    def __init__(self, classifier: Classifier,
                  completion_cap: int = DEFAULT_COMPLETION_CAP):
         self.classifier = classifier
-        self.stats = stats if stats is not None else OracleStats()
+        self.stats = OracleStats()
         self.completion_cap = completion_cap
         self._cache: dict[tuple[int, ...], int] = {}
 

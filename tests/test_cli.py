@@ -141,6 +141,24 @@ def test_stats(capsys, tmp_path, poole_file, all16_file):
     assert "total axps" in out
 
 
+def test_stats_timing_column(capsys, tmp_path, poole_file, all16_file):
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    for path, flags in ((plain, []), (timed, ["--timing"])):
+        code, _, _ = run(capsys, "stats", "-m", poole_file, "-i", all16_file,
+                         "-o", str(path), *flags)
+        assert code == 0
+    plain_rows = plain.read_bytes().splitlines()
+    timed_rows = timed.read_bytes().splitlines()
+    assert timed_rows[0].endswith(b",wall_ms")
+    assert len(timed_rows) == len(plain_rows) == 18
+    for p, t in zip(plain_rows, timed_rows):
+        assert t.count(b",") == p.count(b",") + 1
+    for t in timed_rows[1:]:
+        assert float(t.rsplit(b",", 1)[1]) >= 0
+    # without the last column the timed CSV is the untimed one, byte for byte
+    assert b"".join(t.rsplit(b",", 1)[0] + b"\n" for t in timed_rows) == plain.read_bytes()
+
+
 def test_parse_error_exit_code(capsys, tmp_path, e2_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -275,6 +293,23 @@ def test_budget_reaches_hitting_set_solver(capsys, monkeypatch, poole_file,
         code, _, err = run(capsys, *argv, "-m", poole_file, "-i", e2_file)
         assert code == 4, argv
         assert "exceeded 1 nodes" in err
+
+
+@pytest.mark.parametrize("command", ["predict", "axp", "cxp", "enum", "verify", "stats"])
+def test_bad_budget_rejected_with_no_rows(capsys, monkeypatch, tmp_path, poole_file,
+                                          command):
+    # XDUAL_BUDGET is read once per command, not once per row
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("A,T,L,W\n")
+    output = tmp_path / "stats.csv"
+    extra = ["-o", str(output)] if command == "stats" else []
+    monkeypatch.setenv("XDUAL_BUDGET", "abc")
+    code, out, err = run(capsys, command, "-m", poole_file, "-i", str(header_only),
+                         *extra)
+    assert code == 3
+    assert out == ""
+    assert err == "error: XDUAL_BUDGET must be a positive integer, got 'abc'\n"
+    assert not output.exists()
 
 
 def test_enum_negative_limit_is_usage_error(capsys, poole_file, e2_file):

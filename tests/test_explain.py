@@ -17,7 +17,7 @@ from dualxp.explain import (
 )
 from dualxp.model import Instance, ModelError, PartialAssignment
 from dualxp.modelio import parse_instances
-from dualxp.oracle import Oracle, OracleStats, raw_predict
+from dualxp.oracle import Oracle, raw_predict
 
 
 def problem_for(classifier, instance, targets=None):
@@ -60,8 +60,8 @@ def test_axp_seed(poole, e2):
 
 
 def test_axp_call_count(poole, e2):
-    stats = OracleStats()
-    problem = make_problem(Oracle(poole, stats), e2)
+    problem = make_problem(Oracle(poole), e2)
+    stats = problem.oracle.stats
     before = stats.entailment_calls
     extract_axp(problem)
     # one seed sufficiency check plus exactly one deletion probe per feature
@@ -79,8 +79,8 @@ def test_cxp_constant(constant_tree):
 
 
 def test_cxp_call_count(poole, e2):
-    stats = OracleStats()
-    problem = make_problem(Oracle(poole, stats), e2)
+    problem = make_problem(Oracle(poole), e2)
+    stats = problem.oracle.stats
     before = stats.witness_calls
     extract_cxp(problem)
     # one seed feasibility check plus at most one grow probe per feature
@@ -136,6 +136,36 @@ def test_check_axp_on_targeted_questions():
     assert check_axp(problem, AXp(frozenset({1}))) == []
     assert check_axp(problem, AXp(frozenset({0}))) == [
         "not sufficient for the prediction"]
+
+
+def test_extract_axp_on_targeted_questions(small_corpus):
+    # an extracted AXp keeps the problem's own targets out, as check_axp and
+    # the enumeration judge it, not every other class
+    from dualxp.dual import enumerate_all
+    from dualxp.model import (DecisionTree, FeatureSpace, Leaf, Split,
+                              TreeStructure, validated)
+    from dualxp.synth import synthetic_ensemble, synthetic_instances
+    space = FeatureSpace(("X", "Y"), (("a", "b", "c"), ("0", "1")))
+    tree = validated(DecisionTree(space, ("k1", "k2", "k3"), TreeStructure((
+        Split(0, (1, 4, 5)), Split(1, (2, 3)), Leaf(0), Leaf(2), Leaf(1), Leaf(0),
+    ), 0)))
+    ensemble = synthetic_ensemble(seed=5, n_features=6, trees_per_class=3,
+                                  n_classes=3)
+    pairs = [(tree, Instance((0, 0)))] + [
+        (m, i) for m, i in small_corpus if m.n_classes == 3] + [
+        (ensemble, i) for i in synthetic_instances(ensemble.space, 8, seed=6)]
+    asked = 0
+    for model, instance in pairs:
+        predicted = raw_predict(model, instance.values)
+        for other in sorted(set(range(3)) - {predicted}):
+            problem = problem_for(model, instance, targets={other})
+            axp = extract_axp(problem)
+            assert check_axp(problem, axp) == []
+            axps, _ = enumerate_all(problem)
+            assert axp in axps
+            asked += 1
+    assert extract_axp(problem_for(tree, Instance((0, 0)), targets={1})).features == {0}
+    assert asked > 200
 
 
 def test_targeted_unreachable(three_class_tree):

@@ -164,7 +164,8 @@ def test_blocked_search_matches_berge_reference(data):
 def test_solver_matches_fresh_search_after_every_step(data):
     # one solver driven through random interleavings of adds and next();
     # after each batch of adds, next() must equal a fresh search on
-    # everything added so far, whether it resumed or started again
+    # everything added so far, whether it resumed or started again; and
+    # after each block no saved state covers a blocked set
     n = data.draw(st.integers(1, 16))
     universe = data.draw(st.permutations(range(n)))
     smallest = data.draw(st.booleans())
@@ -185,6 +186,10 @@ def test_solver_matches_fresh_search_after_every_step(data):
             else:  # the enumeration loop blocks each answer it accepts
                 blocked.append(found)
                 solver.add_blocked(found)
+            if op != "hit":
+                masks = [solver._mask(b) for b in blocked]
+                assert not any(m & chosen == m for chosen, _ in solver._stack or ()
+                               for m in masks)
         found = solver.next()
         assert found == minimal_hitting_set(hs(universe, to_hit, blocked),
                                             smallest=smallest)

@@ -7,7 +7,7 @@ import pytest
 from conftest import A, L, READS, SKIPS, T, W, shared_children_tree
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, Split, TreeStructure, validated)
-from dualxp.oracle import Oracle, OracleStats, SearchSpaceExceeded, raw_predict
+from dualxp.oracle import Oracle, SearchSpaceExceeded, raw_predict
 from dualxp.synth import (random_instance, random_space, random_tree,
                           synthetic_ensemble)
 
@@ -159,8 +159,8 @@ def test_entailment_anti_monotone(small_corpus):
 
 
 def test_stats_counting(poole, e2):
-    stats = OracleStats()
-    oracle = Oracle(poole, stats)
+    oracle = Oracle(poole)
+    stats = oracle.stats
     oracle.predict(e2)
     oracle.entails(e2, {A, T, L, W}, READS)
     oracle.find_counterexample(e2, set(), frozenset({SKIPS}))
