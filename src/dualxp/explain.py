@@ -41,6 +41,14 @@ class ExplanationProblem:
 def make_problem(oracle: Oracle, instance: Instance,
                  targets: Optional[Iterable[int]] = None,
                  expected: Optional[int] = None) -> ExplanationProblem:
+    domains = oracle.space.domains
+    if len(instance.values) != len(domains):
+        raise ModelError(f"instance has {len(instance.values)} values, "
+                         f"the model has {len(domains)} features")
+    for f, v in enumerate(instance.values):
+        if not 0 <= v < len(domains[f]):
+            raise ModelError(f"value {v} is outside the domain of feature "
+                             f"'{oracle.space.names[f]}'")
     predicted = oracle.predict(instance)
     if expected is not None and expected != predicted:
         raise ModelError(
@@ -98,7 +106,10 @@ def extract_axp(problem: ExplanationProblem,
     tau = problem.instance
     oracle = problem.oracle
     targets = problem.targets
-    seed_set = set(range(problem.n_features)) if seed is None else set(seed)
+    everything = set(range(problem.n_features))
+    seed_set = everything if seed is None else set(seed)
+    if not seed_set <= everything:
+        raise ModelError("seed entries must be feature indices")
     if oracle.reaches(tau, seed_set, targets):
         raise SeedNotSufficient("the seed assignment does not entail the prediction")
     current = set(seed_set)

@@ -136,6 +136,7 @@ class HittingSetSolver:
         blocked_with = self._blocked_with
         cap = self._cap if self.smallest else None
         budget = self.budget
+        more = len(self.universe) + 1  # more than any set's allowed elements
         nodes = 0
         while True:
             if not stack:
@@ -147,25 +148,44 @@ class HittingSetSolver:
                 raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
             nodes += 1
             chosen, allowed = stack.pop()
-            unhit = [s & allowed for s in sets if not s & chosen]
-            if not unhit:
-                # kept, so that asking again with nothing added repeats it
+            # one pass over the sets to hit, branching on the first unhit set
+            # with the fewest allowed elements.  An unhit set with none left
+            # has the fewest, so such a dead state branches into no children
+            # (the branching rule never makes one: the k-th child excludes
+            # k - 1 elements, fewer than any unhit set had allowed)
+            branch = None
+            fewest = more
+            for s in sets:
+                if not s & chosen:
+                    s &= allowed
+                    size = s.bit_count()
+                    if size < fewest:
+                        branch, fewest = s, size
+            if branch is None:
+                # every set is hit; kept, so that asking again with nothing
+                # added repeats it
                 stack.append((chosen, allowed))
                 return chosen
-            if not all(unhit):
-                continue  # an unhit set has no allowed element left
             if cap is not None and chosen.bit_count() >= cap:
                 continue
-            branch = min(unhit, key=int.bit_count)  # first of the fewest
             children = []
             while branch:
                 low = branch & -branch
                 branch ^= low
                 child = chosen | low
-                if not any(b & child == b for b in blocked_with.get(low, ())):
+                if not _covers(blocked_with.get(low, ()), child):
                     children.append((child, allowed))
                 allowed ^= low  # later siblings exclude this element
             stack.extend(reversed(children))
+
+
+def _covers(family: Iterable[int], mask: int) -> bool:
+    """True iff `mask` covers some mask in `family`.  A plain loop: on these
+    short lists the generator frame of `any()` costs more than the tests."""
+    for k in family:
+        if k & mask == k:
+            return True
+    return False
 
 
 def _shrink(chosen: int, sets: list[int]) -> int:
@@ -178,7 +198,10 @@ def _shrink(chosen: int, sets: list[int]) -> int:
         low = rest & -rest
         rest ^= low
         trial = chosen ^ low
-        if all(s & trial for s in sets):
+        for s in sets:
+            if not s & trial:
+                break
+        else:
             chosen = trial
     return chosen
 

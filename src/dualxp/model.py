@@ -6,6 +6,8 @@ the flat arrays of `TreeStructure.arrays` instead, compiled lazily on first use
 and cached on the tree object, so every oracle over one classifier shares them.
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
+`Leaf` and `Split` use slots, since a large tree holds tens of thousands of
+them.
 """
 from __future__ import annotations
 
@@ -117,7 +119,7 @@ class Instance:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """Terminal node; `value` is a class index for decision trees and an
     integer fixed-point score for ensemble regressors."""
@@ -125,7 +127,7 @@ class Leaf:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     """Internal node: one child id per category of `feature` (total map)."""
 

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional
 
+from .hitting import _covers
 from .model import (
     AdditiveEnsemble,
     Classifier,
@@ -124,44 +125,51 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
     exactly its CXps into `targets` (Izza, Ignatiev and Marques-Silva, *On
     Explaining Decision Trees*, 2020).
 
-    One depth-first walk, the agreeing child first, carries the bit mask of
-    the disagreeing features.  A state whose mask covers a set already found
-    cannot lead to a minimal one and is dropped.  So is a state whose mask
-    covers one already expanded at the same node: the leaves below a node,
-    and the disagreements below it, do not depend on the path to it, because
-    no feature repeats on a path.  That rule keeps splits that share
-    children polynomial, where remembering only equal masks would not.
+    One walk carries the bit mask of the disagreeing features, and handles
+    its states in level order, where a state's level is the number of bits
+    in its mask: a disagreeing child is one level deeper, and each state
+    follows its agreeing children down at its own level.  So every mask
+    that reaches a target leaf is appended to `found` after all smaller
+    ones, and `found` is an antichain by construction.  A mask that covers
+    a set already found cannot lead to a minimal one and is dropped, both
+    when a split would push its disagreeing children and when a state is
+    taken up, since sets of the level it was pushed from may have been
+    found since.  So is a state whose mask covers one already expanded at
+    the same node: the leaves below a node, and the disagreements below it,
+    do not depend on the path to it, because no feature repeats on a path.
+    That rule keeps splits that share children polynomial, where
+    remembering only equal masks would not.
     """
     feature, children, value = tree.arrays
-    found: list[int] = []  # an antichain: no mask covers another
+    found: list[int] = []
     expanded: dict[int, list[int]] = {}  # node id -> masks expanded there
-    stack = [(tree.root, 0)]
-    while stack:
-        node_id, mask = stack.pop()
-        if any(k & mask == k for k in found):
-            continue
-        # follow the agreeing children down, with the mask unchanged, so
-        # only the states left on the stack need the covering test again
-        f = feature[node_id]
-        while f >= 0:
-            seen = expanded.get(node_id)
-            if seen is None:
-                expanded[node_id] = [mask]
-            elif any(s & mask == s for s in seen):
-                break
-            else:
-                seen.append(mask)
-            kids = children[node_id]
-            agree = values[f]
-            differs = mask | 1 << f
-            for v, kid in enumerate(kids):
-                if v != agree:
-                    stack.append((kid, differs))
-            node_id = kids[agree]
+    level = [(tree.root, 0)]
+    while level:
+        deeper = []
+        for node_id, mask in level:
+            if _covers(found, mask):
+                continue
             f = feature[node_id]
-        if f < 0 and value[node_id] in targets:
-            found = [k for k in found if k & mask != mask]
-            found.append(mask)
+            while f >= 0:
+                seen = expanded.get(node_id)
+                if seen is None:
+                    expanded[node_id] = [mask]
+                elif _covers(seen, mask):
+                    break
+                else:
+                    seen.append(mask)
+                kids = children[node_id]
+                agree = values[f]
+                differs = mask | 1 << f
+                if not _covers(found, differs):
+                    for v, kid in enumerate(kids):
+                        if v != agree:
+                            deeper.append((kid, differs))
+                node_id = kids[agree]
+                f = feature[node_id]
+            if f < 0 and value[node_id] in targets:
+                found.append(mask)
+        level = deeper
     return [frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
             for mask in found]
 

@@ -33,6 +33,14 @@ def test_make_problem_checks(poole, e2):
     assert problem.targets == frozenset({SKIPS})
 
 
+def test_make_problem_rejects_instances_that_do_not_fit(poole):
+    # a negative value would index a child from the end, and a short
+    # instance would end in an IndexError inside the walk
+    for values in ((0, 0, -1, 0), (0, 0, 2, 0), (0, 0), (0, 0, 0, 0, 0)):
+        with pytest.raises(ModelError):
+            make_problem(Oracle(poole), Instance(values))
+
+
 def test_axp_goldens(poole, e1, e2):
     assert extract_axp(problem_for(poole, e2)).features == frozenset({L, T})
     assert extract_axp(problem_for(poole, e1)).features == frozenset({L})
@@ -57,6 +65,10 @@ def test_axp_seed(poole, e2):
     assert axp.features == frozenset({L, T})
     with pytest.raises(SeedNotSufficient):
         extract_axp(problem_for(poole, e2), seed={A, W})
+    with pytest.raises(ModelError):
+        extract_axp(problem_for(poole, Instance((0, 0, 0, 0))), seed=[0, 1, 2, 3, 99])
+    with pytest.raises(ModelError):
+        extract_axp(problem_for(poole, e2), seed={L, T, -1})
 
 
 def test_axp_call_count(poole, e2):

@@ -193,3 +193,61 @@ def test_solver_matches_fresh_search_after_every_step(data):
         found = solver.next()
         assert found == minimal_hitting_set(hs(universe, to_hit, blocked),
                                             smallest=smallest)
+
+
+def fewest_nodes(run):
+    """The smallest node budget under which `run(budget)` finishes; the
+    budget counts the states one `next()` call pops, so more is never worse."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            run(hi)
+            break
+        except BudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
+# per case: the fewest nodes for the first answer and for a whole iterated
+# enumeration (the most any one next() pops), without and with smallest=True
+PINNED_NODES = [
+    (6, 11, 22, 904), (4, 4, 15, 107), (4, 4, 9, 216), (2, 2, 29, 29),
+    (7, 11, 49, 828), (5, 5, 16, 350), (4, 5, 13, 121), (6, 6, 34, 250),
+    (6, 10, 52, 1459), (4, 4, 14, 99),
+]
+
+
+def test_node_counts_are_pinned():
+    # how many states the search pops is its branching and pruning; the
+    # fresh-search comparison above cannot see a change there, because its
+    # reference runs the same search
+    rng = random.Random(2024)
+    for i, pinned in enumerate(PINNED_NODES):
+        n = rng.randint(10, 18)
+        universe = rng.sample(range(n), n)
+        to_hit = [rng.sample(range(n), rng.randint(2, 6))
+                  for _ in range(rng.randint(6, 14))]
+        blocked = [] if i % 2 == 0 else [rng.sample(range(n), rng.randint(1, 4))
+                                         for _ in range(rng.randint(2, 8))]
+        inst = hs(universe, to_hit, blocked)
+        counts = []
+        for smallest in (False, True):
+            def first(budget):
+                minimal_hitting_set(inst, smallest, budget)
+
+            def every(budget):
+                list(iterate_minimal_hitting_sets(inst, smallest, budget))
+
+            for run in (first, every):
+                k = fewest_nodes(run)
+                with pytest.raises(BudgetExceeded):
+                    run(k - 1)
+                counts.append(k)
+        assert tuple(counts) == pinned

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from conftest import A, L, READS, SKIPS, T, W, shared_children_tree
+from conftest import (A, L, READS, SKIPS, T, W, random_shared_tree,
+                      shared_chain, shared_children_tree)
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, Split, TreeStructure, validated)
-from dualxp.oracle import Oracle, SearchSpaceExceeded, raw_predict
+from dualxp.oracle import (Oracle, SearchSpaceExceeded, _tree_disagreement_sets,
+                           raw_predict)
 from dualxp.synth import (random_instance, random_space, random_tree,
                           synthetic_ensemble)
 
@@ -277,3 +279,42 @@ def test_ensemble_cap():
             oracle.find_counterexample(point, kept, both)
     with pytest.raises(SearchSpaceExceeded):
         Oracle(mixed, completion_cap=7).reaches(point, {1}, both)
+
+
+def _naive_disagreement_sets(tree, values, targets):
+    """The disagreement set of every root-to-target-leaf path, by plain
+    recursion over the node objects, keeping the subset-minimal ones."""
+    sets = set()
+
+    def walk(node_id, differs):
+        node = tree.nodes[node_id]
+        if isinstance(node, Leaf):
+            if node.value in targets:
+                sets.add(differs)
+            return
+        for v, kid in enumerate(node.children):
+            walk(kid, differs if v == values[node.feature] else differs | {node.feature})
+
+    walk(tree.root, frozenset())
+    return {s for s in sets if not any(o < s for o in sets)}
+
+
+def test_disagreement_walk_matches_naive_reference():
+    # every non-empty target set that excludes the prediction, on trees
+    # whose splits share children; the walk's order is free, so compare sets
+    rng = random.Random(29)
+    cases = [(shared_children_tree(), list(itertools.product(range(2), range(3), range(2))))]
+    chain = shared_chain(12)
+    cases.append((chain, [random_instance(rng, chain.space).values for _ in range(6)]))
+    for _ in range(40):
+        space = random_space(rng, rng.randint(3, 10), (2, 3))
+        model = random_shared_tree(rng, space, rng.randint(2, 3), rng.randint(3, 30))
+        cases.append((model, [random_instance(rng, space).values for _ in range(4)]))
+    for model, points in cases:
+        for values in points:
+            others = set(range(model.n_classes)) - {raw_predict(model, values)}
+            for r in range(1, len(others) + 1):
+                for targets in map(frozenset, itertools.combinations(sorted(others), r)):
+                    found = _tree_disagreement_sets(model.tree, values, targets)
+                    assert len(set(found)) == len(found)
+                    assert set(found) == _naive_disagreement_sets(model.tree, values, targets)
