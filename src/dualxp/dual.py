@@ -242,6 +242,7 @@ def brute_force_explanations(classifier: Classifier, instance: Instance,
     n = classifier.space.n_features
     if n > BRUTE_FORCE_MAX_FEATURES:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_MAX_FEATURES} features")
+    classifier.space.check_instance(instance)
     predicted = raw_predict(classifier, instance.values)
     all_features = list(range(n))
     sufficient = []
@@ -261,6 +262,7 @@ def brute_force_corrections(classifier: Classifier, instance: Instance,
     n = classifier.space.n_features
     if n > BRUTE_FORCE_MAX_FEATURES:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_MAX_FEATURES} features")
+    classifier.space.check_instance(instance)
     all_features = frozenset(range(n))
     found = []
     for r in range(1, n + 1):

@@ -41,15 +41,7 @@ class ExplanationProblem:
 def make_problem(oracle: Oracle, instance: Instance,
                  targets: Optional[Iterable[int]] = None,
                  expected: Optional[int] = None) -> ExplanationProblem:
-    domains = oracle.space.domains
-    if len(instance.values) != len(domains):
-        raise ModelError(f"instance has {len(instance.values)} values, "
-                         f"the model has {len(domains)} features")
-    for f, v in enumerate(instance.values):
-        if not 0 <= v < len(domains[f]):
-            raise ModelError(f"value {v} is outside the domain of feature "
-                             f"'{oracle.space.names[f]}'")
-    predicted = oracle.predict(instance)
+    predicted = oracle.predict(instance)  # rejects an instance that does not fit
     if expected is not None and expected != predicted:
         raise ModelError(
             f"instance predicts class {predicted}, not the stated class {expected}"
@@ -130,11 +122,19 @@ def _grow_correction(problem: ExplanationProblem, kept: set[int],
     `witness` must be a known target-class completion of the kept features
     (pass None to have it established with one query).  Features the current
     witness agrees with join for free; only disagreements cost a query.
+
+    Any target completion serves as a witness, not only the lexicographically
+    first, so each query asks for any (`first=False`; on a tree, one path
+    search).  The CXp does not depend on which one comes back: in `order`, a
+    feature joins exactly when the targets stay reachable with it kept too.
+    A witness that agrees with the instance on the feature is itself a
+    target completion of the grown set, so it only skips a query whose
+    answer is already known to be yes.
     """
     tau = problem.instance
     oracle = problem.oracle
     if witness is None:
-        witness = oracle.find_counterexample(tau, kept, problem.targets)
+        witness = oracle.find_counterexample(tau, kept, problem.targets, first=False)
         if witness is None:
             return None
     for f in order:
@@ -143,7 +143,7 @@ def _grow_correction(problem: ExplanationProblem, kept: set[int],
         if witness.values[f] == tau.values[f]:
             kept.add(f)
             continue
-        w = oracle.find_counterexample(tau, kept | {f}, problem.targets)
+        w = oracle.find_counterexample(tau, kept | {f}, problem.targets, first=False)
         if w is not None:
             kept.add(f)
             witness = w

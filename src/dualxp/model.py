@@ -73,6 +73,18 @@ class FeatureSpace:
         except ValueError:
             raise ModelError(f"unknown feature '{name}'") from None
 
+    def check_instance(self, instance: "Instance") -> None:
+        """Raise ModelError unless `instance` has one in-domain value per
+        feature.  The walks index children by value and trust it, so every
+        entry point that takes an instance from a caller checks it here."""
+        if len(instance.values) != len(self.domains):
+            raise ModelError(f"instance has {len(instance.values)} values, "
+                             f"the model has {len(self.domains)} features")
+        for f, v in enumerate(instance.values):
+            if not 0 <= v < len(self.domains[f]):
+                raise ModelError(f"value {v} is outside the domain of feature "
+                                 f"'{self.names[f]}'")
+
     def value_index(self, feature: int, category: str) -> int:
         try:
             return self.domains[feature].index(category)

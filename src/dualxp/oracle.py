@@ -2,9 +2,11 @@
 
 A query fixes the features in a kept set to their values in an instance and
 leaves the rest free.  Decision trees are answered by one iterative search
-for a feasible path to a leaf of the wanted classes; the counterexample is
-the lexicographically first completion, built feature by feature on the
-last path found.  Additive ensembles are answered by one loop over the
+for a feasible path to a leaf of the wanted classes.  A counterexample is
+by default the lexicographically first completion, built feature by feature
+on the last path found; asked for any completion, a tree gives the one that
+follows the first path found and agrees with the instance off it, after that
+single search.  Additive ensembles are answered by one loop over the
 `itertools.product` of per-feature value ranges (a free feature's domain, a
 kept feature's instance value), which yields full value tuples in
 lexicographic order; the product of the range lengths is capped first.
@@ -214,6 +216,8 @@ class Oracle:
         return self.classifier.n_classes
 
     def predict(self, instance: Instance) -> int:
+        """Class index of `instance`; ModelError if it does not fit the model."""
+        self.space.check_instance(instance)
         self.stats.predict_calls += 1
         return self._predict(instance.values)
 
@@ -236,17 +240,30 @@ class Oracle:
         return self._ensemble_completion(values, targets) is not None
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
-                            targets: frozenset[int]) -> Optional[Instance]:
-        """Lexicographically first completion of the `kept` features of
-        `instance` that predicts into `targets`."""
+                            targets: frozenset[int], *,
+                            first: bool = True) -> Optional[Instance]:
+        """A completion of the `kept` features of `instance` that predicts
+        into `targets`, or None if there is none.
+
+        With `first` it is the lexicographically first one.  Without it, any
+        one will do: on a decision tree that is the completion taking the
+        branch values of the first feasible path found and the instance's
+        values elsewhere, after one path search; an ensemble still gives the
+        first, which its search finds first anyway."""
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
         values = _kept_values(instance, kept)
         targets = frozenset(targets)
-        if isinstance(self.classifier, DecisionTree):
+        if not isinstance(self.classifier, DecisionTree):
+            return self._ensemble_completion(values, targets)
+        if first:
             return self._tree_completion(values, targets)
-        return self._ensemble_completion(values, targets)
+        path = _tree_path(self.classifier.tree, values, targets)
+        if path is None:
+            return None
+        # the path holds only free features, so the kept ones keep their values
+        return Instance(tuple(path.get(f, v) for f, v in enumerate(instance.values)))
 
     # internal machinery (not counted in stats)
 

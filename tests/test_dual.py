@@ -3,19 +3,23 @@ import random
 
 import pytest
 
-from conftest import (A, L, T, W, random_shared_tree, shared_chain,
+from conftest import (A, L, SKIPS, T, W, random_shared_tree, shared_chain,
                       shared_children_tree)
+from dualxp.bundled import synthetic_ensemble_model, synthetic_instances_csv
 from dualxp.dual import (
     EnumerationState,
     TooLarge,
+    brute_force_corrections,
     brute_force_explanations,
     enumerate_all,
     iterate_explanations,
     verify_duality,
 )
 from dualxp.explain import AXp, CXp, check_axp, check_cxp, make_problem
-from dualxp.model import Instance
+from dualxp.model import Instance, ModelError
+from dualxp.modelio import parse_instances
 from dualxp.oracle import Oracle
+from dualxp.reporting import collect_stats
 from dualxp.synth import (random_instance, random_space, random_tree,
                           synthetic_ensemble)
 
@@ -63,6 +67,18 @@ def test_iterate_explanations_continues_from_state(small_corpus):
                     iterate_explanations(problem, smallest=smallest, state=state), stop))
                 tail = list(iterate_explanations(problem, smallest=smallest, state=state))
                 assert head + tail == full
+
+
+def test_bundled_ensemble_enumeration_is_pinned():
+    # the family sizes and the oracle calls that found them, over the 100
+    # bundled rows: a change to the ensemble's witness sequence moves the
+    # call count even when the families stay the same
+    ensemble = synthetic_ensemble_model()
+    report = collect_stats(ensemble,
+                           parse_instances(synthetic_instances_csv(), ensemble.space))
+    assert len(report.rows) == 100
+    assert (report.total_axps, report.total_cxps, report.total_oracle_calls) == (
+        737, 848, 4819)
 
 
 def _tree_reference_inputs():
@@ -230,6 +246,16 @@ def test_brute_force_cap():
     tree = random_tree(rng, space, 2)
     with pytest.raises(TooLarge):
         brute_force_explanations(tree, random_instance(rng, space))
+
+
+def test_brute_force_rejects_instances_that_do_not_fit(poole):
+    # a negative value would index a child from the end and describe a point
+    # that does not exist
+    for values in ((0, 0, -1, 0), (0, 0, 2, 0), (0, 0), (0, 0, 0, 0, 0)):
+        with pytest.raises(ModelError):
+            brute_force_explanations(poole, Instance(values))
+        with pytest.raises(ModelError):
+            brute_force_corrections(poole, Instance(values), frozenset({SKIPS}))
 
 
 def test_duality_holds_on_brute_force_outputs(small_corpus):

@@ -1,8 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from conftest import A, L, READS, SKIPS, T, W, e3_fixture
+from conftest import (A, L, READS, SKIPS, T, W, e3_fixture, random_shared_tree,
+                      shared_chain)
 from dualxp.bundled import synthetic_ensemble_model, synthetic_instances_csv
-from dualxp.dual import brute_force_corrections, brute_force_explanations
+from dualxp.dual import (_completion_predictions, brute_force_corrections,
+                         brute_force_explanations)
 from dualxp.explain import (
     CXp,
     SeedNotSufficient,
@@ -18,6 +23,7 @@ from dualxp.explain import (
 from dualxp.model import Instance, ModelError, PartialAssignment
 from dualxp.modelio import parse_instances
 from dualxp.oracle import Oracle, raw_predict
+from dualxp.synth import random_instance, random_space, random_tree
 
 
 def problem_for(classifier, instance, targets=None):
@@ -263,3 +269,68 @@ def test_extracted_explanations_pass_checkers(small_corpus):
             # one `reaches` per query: whether a completion gets there, not which
             assert stats.witness_calls == witness_calls
             assert stats.entailment_calls == entailment_calls + 1 + len(cxp.features)
+
+
+def _reference_cxp(classifier, instance, targets, order):
+    """The linear grow with no oracle: keep each feature in `order` while
+    some completion of the kept ones, predicted one by one, hits `targets`."""
+    def reaches(kept):
+        return any(p in targets for p in
+                   _completion_predictions(classifier, instance, frozenset(kept)))
+
+    if not reaches(()):
+        return None
+    kept = set()
+    for f in order:
+        if reaches(kept | {f}):
+            kept.add(f)
+    return frozenset(range(instance.n_features)) - kept
+
+
+def _first_target_completion(classifier, instance, fixed, targets):
+    """The lexicographically first completion of the `fixed` features that
+    predicts into `targets`, by trying every completion in order."""
+    space = classifier.space
+    ranges = [(v,) if f in fixed else range(space.domain_size(f))
+              for f, v in enumerate(instance.values)]
+    return next(full for full in itertools.product(*ranges)
+                if raw_predict(classifier, full) in targets)
+
+
+def test_cxp_grow_matches_brute_force_reference():
+    # the grow accepts any target completion as its witness; the CXp must
+    # still be the one a plain grow deciding each step by brute force finds,
+    # and the printed witness still the lexicographically first
+    rng = random.Random(29)
+    models = [shared_chain(6)]
+    for _ in range(120):
+        space = random_space(rng, rng.randint(2, 7), (2, 3))
+        models.append(random_tree(rng, space, rng.randint(2, 3), max_depth=5))
+        space = random_space(rng, rng.randint(2, 7), (2, 3))
+        models.append(random_shared_tree(rng, space, rng.randint(2, 3),
+                                         rng.randint(2, 20)))
+    checked = 0
+    for model in models:
+        for _ in range(3):
+            instance = random_instance(rng, model.space)
+            order = list(range(instance.n_features))
+            rng.shuffle(order)
+            predicted = raw_predict(model, instance.values)
+            others = sorted(set(range(model.n_classes)) - {predicted})
+            chosen = set(rng.sample(others, rng.randint(1, len(others))))
+            for targets in (None, chosen):
+                problem = problem_for(model, instance, targets=targets)
+                cxp = extract_cxp(problem, order)
+                expected = _reference_cxp(model, instance, problem.targets, order)
+                if cxp is None:
+                    assert expected is None
+                    continue
+                assert cxp.features == expected
+                witness = cxp_witness(problem, cxp)
+                first = _first_target_completion(
+                    model, instance, set(order) - cxp.features, problem.targets)
+                assert witness.replacement == PartialAssignment.of(
+                    (f, first[f]) for f in cxp.features)
+                assert witness.witness_class == raw_predict(model, first)
+                checked += 1
+    assert checked > 900

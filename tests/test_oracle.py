@@ -7,7 +7,8 @@ import pytest
 from conftest import (A, L, READS, SKIPS, T, W, random_shared_tree,
                       shared_chain, shared_children_tree)
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
-                          Instance, Leaf, Split, TreeStructure, validated)
+                          Instance, Leaf, ModelError, Split, TreeStructure,
+                          validated)
 from dualxp.oracle import (Oracle, SearchSpaceExceeded, _tree_disagreement_sets,
                            raw_predict)
 from dualxp.synth import (random_instance, random_space, random_tree,
@@ -18,6 +19,15 @@ def test_predict_goldens(poole, e1, e2):
     oracle = Oracle(poole)
     assert oracle.predict(e1) == SKIPS
     assert oracle.predict(e2) == READS
+
+
+def test_predict_rejects_instances_that_do_not_fit(poole):
+    # a negative value would index a child from the end, and a short
+    # instance would end in an IndexError inside the walk
+    oracle = Oracle(poole)
+    for values in ((0, 0, -1, 0), (0, 0, 2, 0), (0, 0), (0, 0, 0, 0, 0)):
+        with pytest.raises(ModelError):
+            oracle.predict(Instance(values))
 
 
 def test_predict_constant(constant_tree):
