@@ -1,9 +1,12 @@
 """Single-explanation extraction: sufficient-reason sets (AXps), correction
 sets (CXps), targeted CXps, and CXp witnesses.
 
-AXps come from a deletion loop (linear in the number of features); CXps from
-a grow-to-maximal loop over the features kept fixed, reusing the last witness
-to skip queries that cannot fail.
+AXps come from a deletion loop (one entailment query per feature), which
+`Oracle.minimal_sufficient` runs: on a decision tree as one growing walk of
+the nodes reachable under the kept features, where a probe explores only
+what dropping its feature frees, on an ensemble as one `reaches` query per
+probe.  CXps come from a grow-to-maximal loop over the features kept fixed,
+reusing the last witness to skip queries that cannot fail.
 """
 from __future__ import annotations
 
@@ -94,23 +97,23 @@ def extract_axp(problem: ExplanationProblem,
                 order: Optional[Sequence[int]] = None) -> AXp:
     """Deletion-based extraction: exactly one entailment call per seed
     feature beyond the seed sufficiency check.  A set is sufficient when no
-    completion of it reaches `problem.targets`, as in `check_axp`."""
-    tau = problem.instance
-    oracle = problem.oracle
-    targets = problem.targets
+    completion of it reaches `problem.targets`, as in `check_axp`.
+
+    `Oracle.minimal_sufficient` runs the loop over the seed features in
+    `order`.  On a decision tree it is one growing region walk: the nodes
+    reachable with the kept features fixed, to which a dropped feature's
+    other branches add theirs, so no probe searches from the root again.
+    `check_axp` stays on plain `reaches` queries and so checks it apart."""
     everything = set(range(problem.n_features))
     seed_set = everything if seed is None else set(seed)
     if not seed_set <= everything:
         raise ModelError("seed entries must be feature indices")
-    if oracle.reaches(tau, seed_set, targets):
+    kept = problem.oracle.minimal_sufficient(
+        problem.instance, [f for f in _order(problem, order) if f in seed_set],
+        problem.targets)
+    if kept is None:
         raise SeedNotSufficient("the seed assignment does not entail the prediction")
-    current = set(seed_set)
-    for f in _order(problem, order):
-        if f not in seed_set:
-            continue
-        if not oracle.reaches(tau, current - {f}, targets):
-            current.discard(f)
-    return AXp(frozenset(current))
+    return AXp(kept)
 
 
 def _grow_correction(problem: ExplanationProblem, kept: set[int],

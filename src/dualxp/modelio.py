@@ -55,9 +55,11 @@ def _parse_space(obj: dict) -> FeatureSpace:
         raise ParseError(f"invalid feature space: {e}") from e
 
 
-def _parse_nodes(obj: dict, space: FeatureSpace, where: str,
-                 classes: list[str] | None) -> TreeStructure:
-    leaf_key = "class" if classes is not None else "score"
+def _parse_nodes(obj: dict, space: FeatureSpace, feature_ids: dict[str, int],
+                 where: str, class_ids: dict[str, int] | None) -> TreeStructure:
+    """`feature_ids` and `class_ids` map each declared name to its index;
+    a regressor tree has no classes and reads integer scores."""
+    leaf_key = "class" if class_ids is not None else "score"
     nodes_json = obj.get("nodes")
     _expect(isinstance(nodes_json, list) and nodes_json,
             f"{where}: field 'nodes' must be a non-empty list")
@@ -69,20 +71,21 @@ def _parse_nodes(obj: dict, space: FeatureSpace, where: str,
         _expect(isinstance(nj, dict), f"{where}: nodes[{i}] must be an object")
         if leaf_key in nj:
             val = nj[leaf_key]
-            if classes is not None:
+            if class_ids is not None:
                 _expect(isinstance(val, str), f"{where}: nodes[{i}].class must be a class name")
-                _expect(val in classes,
+                ci = class_ids.get(val)
+                _expect(ci is not None,
                         f"{where}: nodes[{i}].class '{val}' is not a declared class")
-                nodes.append(Leaf(classes.index(val)))
+                nodes.append(Leaf(ci))
             else:
                 _expect(isinstance(val, int) and not isinstance(val, bool),
                         f"{where}: nodes[{i}].score must be an integer")
                 nodes.append(Leaf(val))
         elif "feature" in nj:
             fname = nj["feature"]
-            _expect(isinstance(fname, str) and fname in space.names,
+            fi = feature_ids.get(fname) if isinstance(fname, str) else None
+            _expect(fi is not None,
                     f"{where}: nodes[{i}].feature '{fname}' is not a declared feature")
-            fi = space.feature_index(fname)
             children = nj.get("children")
             _expect(isinstance(children, dict),
                     f"{where}: nodes[{i}].children must be an object")
@@ -125,9 +128,11 @@ def parse_model(text: str) -> Classifier:
             and all(isinstance(c, str) for c in classes),
             "field 'classes' must list at least two class names")
     _expect(len(set(classes)) == len(classes), "duplicate class names")
+    feature_ids = {name: f for f, name in enumerate(space.names)}
 
     if kind == "tree":
-        tree = _parse_nodes(obj, space, "tree", classes)
+        tree = _parse_nodes(obj, space, feature_ids, "tree",
+                            {name: c for c, name in enumerate(classes)})
         classifier: Classifier = DecisionTree(space, tuple(classes), tree)
     else:
         scale = obj.get("scale")
@@ -144,7 +149,7 @@ def parse_model(text: str) -> Classifier:
             for ti, t in enumerate(group):
                 _expect(isinstance(t, dict), f"trees[{ci}][{ti}] must be an object")
                 parsed.append(
-                    _parse_nodes(t, space, f"trees[{ci}][{ti}]", None)
+                    _parse_nodes(t, space, feature_ids, f"trees[{ci}][{ti}]", None)
                 )
             groups.append(tuple(parsed))
         classifier = AdditiveEnsemble(space, tuple(classes), tuple(groups), scale)

@@ -14,7 +14,14 @@ Each completion not yet in the prediction cache is scored by `raw_predict`.
 Every walk, predictions and path searches alike, reads the flat node arrays
 that each tree compiles once (`TreeStructure.arrays`,
 `AdditiveEnsemble.class_arrays`).
-Every public query bumps the per-session OracleStats exactly once.
+Every public query bumps the per-session OracleStats exactly once, except
+`minimal_sufficient`, which counts the entailment queries of the deletion
+loop it stands for.
+
+An AXp's deletion loop on a decision tree asks no separate path searches:
+`_tree_minimal_sufficient` grows one region of reachable nodes as features
+are dropped, and a probe explores only the nodes that dropping its feature
+frees, so every node joins the region at most once.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
 of an instance in one walk of the same arrays.
@@ -24,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Optional, Sequence
 
 from .hitting import _covers
 from .model import (
@@ -119,6 +126,68 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
     return None
 
 
+def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
+                             candidates: Sequence[int],
+                             targets: frozenset[int]) -> Optional[frozenset[int]]:
+    """The deletion loop of `Oracle.minimal_sufficient` as one growing
+    region walk; None if the `candidates` kept at `values` reach `targets`.
+
+    The region R holds the nodes reachable while the kept set is fixed at
+    `values`, and `splits` the splits in R of each kept feature.  Dropping
+    f frees only the other children of f's splits in R, so a probe explores
+    from those alone, skips nodes in R, and stops at the first target leaf.
+    If it reaches none, f is dropped and the nodes it found join R;
+    otherwise they are discarded and f stays kept.  The leaves below a node
+    do not depend on the path to it, because no feature repeats on a path,
+    so every node joins R at most once and a probe finds no split on f.
+    """
+    feature, children, value = tree.arrays
+    kept = set(candidates)
+    fixed: list[Optional[int]] = [v if f in kept else None
+                                  for f, v in enumerate(values)]
+    region: set[int] = set()
+    splits: dict[int, list[int]] = {f: [] for f in kept}
+
+    def grow(stack: list[int]) -> bool:
+        # add to R the nodes reachable from `stack`; if that reaches a
+        # target leaf, leave R as it was and return False
+        found = []
+        while stack:
+            node = stack.pop()
+            if node in region:
+                continue
+            region.add(node)
+            found.append(node)
+            f = feature[node]
+            if f < 0:
+                if value[node] in targets:
+                    region.difference_update(found)
+                    return False
+                continue
+            v = fixed[f]
+            if v is None:
+                stack.extend(children[node])
+            else:
+                stack.append(children[node][v])
+        for node in found:
+            f = feature[node]
+            if f >= 0 and fixed[f] is not None:
+                splits[f].append(node)
+        return True
+
+    if not grow([tree.root]):
+        return None
+    for f in candidates:
+        v = values[f]
+        fixed[f] = None
+        if grow([kid for node in splits[f]
+                 for w, kid in enumerate(children[node]) if w != v]):
+            kept.discard(f)
+        else:
+            fixed[f] = v
+    return frozenset(kept)
+
+
 def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
                             targets: frozenset[int]) -> list[frozenset[int]]:
     """The subset-minimal disagreement sets of the paths to leaves with class
@@ -190,7 +259,8 @@ class Oracle:
     is free.
     On a decision tree each is one iterative path search, plus one more per
     value tried below the last path's branch when building the
-    lexicographically first counterexample.
+    lexicographically first counterexample.  `minimal_sufficient` runs a
+    whole AXp deletion loop, on a tree as one region walk.
 
     One Oracle per explanation session: the stats object and the prediction
     cache are its only mutable state.  The cache is keyed on full value
@@ -238,6 +308,30 @@ class Oracle:
         if isinstance(self.classifier, DecisionTree):
             return _tree_path(self.classifier.tree, values, targets) is not None
         return self._ensemble_completion(values, targets) is not None
+
+    def minimal_sufficient(self, instance: Instance, candidates: Sequence[int],
+                           targets: frozenset[int]) -> Optional[frozenset[int]]:
+        """The deletion loop over `candidates`, or None if keeping all of them
+        still reaches `targets`.  Each feature, in the given order, is
+        dropped when the kept set without it no longer reaches `targets`; what
+        stays is a subset-minimal set whose completions all miss them.
+
+        It counts one entailment query for the check of all candidates and
+        one per candidate probed, as the same loop over `reaches` would.  On
+        a decision tree it is one growing region walk
+        (`_tree_minimal_sufficient`); an ensemble runs that `reaches` loop."""
+        if isinstance(self.classifier, DecisionTree):
+            kept = _tree_minimal_sufficient(self.classifier.tree, instance.values,
+                                            candidates, targets)
+            self.stats.entailment_calls += 1 if kept is None else 1 + len(candidates)
+            return kept
+        kept = set(candidates)
+        if self.reaches(instance, kept, targets):
+            return None
+        for f in candidates:
+            if not self.reaches(instance, kept - {f}, targets):
+                kept.discard(f)
+        return frozenset(kept)
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int], *,

@@ -360,11 +360,14 @@ def test_deep_chain_of_one_value_features(capsys, tmp_path):
                     + ",".join(["a"] * (depth + 1)) + "\n")
     argv = ["-m", str(model), "-i", str(inst)]
     assert run(capsys, "axp", *argv) == (0, "c0: {x=a}\n", "")
+    reverse = ",".join(f["name"] for f in reversed(features))
+    assert run(capsys, "axp", "--order", reverse, *argv) == (0, "c0: {x=a}\n", "")
     assert run(capsys, "cxp", *argv) == (0, "c0: {x=a} -> {x=b} (c1)\n", "")
     code, out, _ = run(capsys, "enum", *argv)
     assert code == 0
     assert sorted(json.loads(line)["kind"] for line in out.splitlines()) == [
         "axp", "cxp"]
+    assert run(capsys, "verify", *argv) == (0, "row 0: ok (1 axps, 1 cxps)\n", "")
 
 
 def test_shared_split_chain(tmp_path):

@@ -334,3 +334,63 @@ def test_cxp_grow_matches_brute_force_reference():
                 assert witness.witness_class == raw_predict(model, first)
                 checked += 1
     assert checked > 900
+
+
+def _reference_axp(oracle, instance, targets, seed, order):
+    """The deletion loop over plain `reaches` queries, one per seed feature
+    after the seed check; None if the seed reaches `targets`."""
+    kept = set(seed)
+    if oracle.reaches(instance, kept, targets):
+        return None
+    for f in order:
+        if f in seed and not oracle.reaches(instance, kept - {f}, targets):
+            kept.discard(f)
+    return frozenset(kept)
+
+
+def test_axp_region_walk_matches_reaches_loop():
+    # a tree's deletion loop is one growing region walk; it must give the
+    # AXp, or the SeedNotSufficient, and the query count of the plain loop
+    rng = random.Random(37)
+    models = [shared_chain(12)]
+    for _ in range(60):
+        space = random_space(rng, rng.randint(2, 8), (2, 3))
+        models.append(random_tree(rng, space, rng.randint(2, 3), max_depth=6,
+                                  leaf_prob=0.15))
+        space = random_space(rng, rng.randint(2, 8), (2, 3))
+        models.append(random_shared_tree(rng, space, rng.randint(2, 3),
+                                         rng.randint(2, 30)))
+    outcomes = {"axp": 0, "kept after a drop": 0, "not sufficient": 0}
+    for model in models:
+        n = model.space.n_features
+        for _ in range(4):
+            instance = random_instance(rng, model.space)
+            predicted = raw_predict(model, instance.values)
+            others = sorted(set(range(model.n_classes)) - {predicted})
+            for size in range(1, len(others) + 1):
+                for targets in itertools.combinations(others, size):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    for seed in (None, set(), set(rng.sample(range(n), rng.randint(1, n)))):
+                        problem = problem_for(model, instance, targets=targets)
+                        oracle = Oracle(model)
+                        seed_set = set(range(n)) if seed is None else seed
+                        expected = _reference_axp(oracle, instance, problem.targets,
+                                                  seed_set, order)
+                        before = problem.oracle.stats.entailment_calls
+                        if expected is None:
+                            with pytest.raises(SeedNotSufficient):
+                                extract_axp(problem, seed, order)
+                            outcomes["not sufficient"] += 1
+                        else:
+                            assert extract_axp(problem, seed, order).features == expected
+                            outcomes["axp"] += 1
+                            # only a probe that keeps its feature after another
+                            # was dropped shows whether it left the region as it was
+                            probed = [f for f in order if f in seed_set]
+                            if any(f not in expected and g in expected
+                                   for f, g in itertools.combinations(probed, 2)):
+                                outcomes["kept after a drop"] += 1
+                        assert (problem.oracle.stats.entailment_calls - before
+                                == oracle.stats.entailment_calls)
+    assert min(outcomes.values()) > 300, outcomes
