@@ -1,12 +1,13 @@
 """Single-explanation extraction: sufficient-reason sets (AXps), correction
 sets (CXps), targeted CXps, and CXp witnesses.
 
-AXps come from a deletion loop (one entailment query per feature), which
-`Oracle.minimal_sufficient` runs: on a decision tree as one growing walk of
-the nodes reachable under the kept features, where a probe explores only
-what dropping its feature frees, on an ensemble as one `reaches` query per
-probe.  CXps come from a grow-to-maximal loop over the features kept fixed,
-reusing the last witness to skip queries that cannot fail.
+AXps come from one deletion pass over all features (one entailment query
+per feature), which `Oracle.minimal_sufficient` runs: on a decision tree as
+one growing walk of the nodes reachable under the kept features, where a
+probe explores only what dropping its feature frees, on an ensemble as one
+`reaches` query per probe.  CXps come from a grow-to-maximal loop over
+the features kept fixed, reusing the last witness to skip queries that
+cannot fail.
 """
 from __future__ import annotations
 
@@ -15,10 +16,6 @@ from typing import Iterable, Optional, Sequence
 
 from .model import Instance, ModelError, PartialAssignment
 from .oracle import Oracle
-
-
-class SeedNotSufficient(ModelError):
-    """extract_axp was given a seed that does not entail the prediction."""
 
 
 class TargetUnreachable(ModelError):
@@ -42,17 +39,15 @@ class ExplanationProblem:
 
 
 def make_problem(oracle: Oracle, instance: Instance,
-                 targets: Optional[Iterable[int]] = None,
-                 expected: Optional[int] = None) -> ExplanationProblem:
+                 targets: Optional[Iterable[int]] = None) -> ExplanationProblem:
     predicted = oracle.predict(instance)  # rejects an instance that does not fit
-    if expected is not None and expected != predicted:
-        raise ModelError(
-            f"instance predicts class {predicted}, not the stated class {expected}"
-        )
+    classes = frozenset(range(oracle.n_classes))
     if targets is None:
-        target_set = frozenset(range(oracle.n_classes)) - {predicted}
+        target_set = classes - {predicted}
     else:
         target_set = frozenset(targets)
+        if not target_set <= classes:
+            raise ModelError(f"targets {sorted(target_set - classes)} are not class indices")
         if predicted in target_set:
             raise ModelError("target classes must exclude the predicted class")
         if not target_set:
@@ -93,27 +88,19 @@ def _order(problem: ExplanationProblem, order: Optional[Sequence[int]]) -> list[
 
 
 def extract_axp(problem: ExplanationProblem,
-                seed: Optional[Iterable[int]] = None,
                 order: Optional[Sequence[int]] = None) -> AXp:
-    """Deletion-based extraction: exactly one entailment call per seed
-    feature beyond the seed sufficiency check.  A set is sufficient when no
-    completion of it reaches `problem.targets`, as in `check_axp`.
+    """Deletion-based extraction: one entailment call per feature beyond
+    the check of all features, which never fails, because the instance
+    predicts outside `problem.targets`.  A set is sufficient when no
+    completion of it reaches them, as in `check_axp`.
 
-    `Oracle.minimal_sufficient` runs the loop over the seed features in
-    `order`.  On a decision tree it is one growing region walk: the nodes
-    reachable with the kept features fixed, to which a dropped feature's
-    other branches add theirs, so no probe searches from the root again.
+    `Oracle.minimal_sufficient` runs the loop over the features in `order`.
+    On a decision tree it is one growing region walk: the nodes reachable
+    with the kept features fixed, to which a dropped feature's other
+    branches add theirs, so no probe searches from the root again.
     `check_axp` stays on plain `reaches` queries and so checks it apart."""
-    everything = set(range(problem.n_features))
-    seed_set = everything if seed is None else set(seed)
-    if not seed_set <= everything:
-        raise ModelError("seed entries must be feature indices")
-    kept = problem.oracle.minimal_sufficient(
-        problem.instance, [f for f in _order(problem, order) if f in seed_set],
-        problem.targets)
-    if kept is None:
-        raise SeedNotSufficient("the seed assignment does not entail the prediction")
-    return AXp(kept)
+    return AXp(problem.oracle.minimal_sufficient(
+        problem.instance, _order(problem, order), problem.targets))
 
 
 def _grow_correction(problem: ExplanationProblem, kept: set[int],

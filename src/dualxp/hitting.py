@@ -32,7 +32,7 @@ guards against desk-scale blowups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -206,32 +206,13 @@ def _shrink(chosen: int, sets: list[int]) -> int:
     return chosen
 
 
-def _solver(instance: HittingSetInstance, smallest: bool, budget: int) -> HittingSetSolver:
+def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
+                        budget: int = DEFAULT_NODE_BUDGET) -> Optional[frozenset[int]]:
+    """A subset-minimal hitting set of `to_hit` that covers no blocked set,
+    or None if there is none; with `smallest=True`, of minimum cardinality."""
     solver = HittingSetSolver(instance.universe, smallest, budget)
     for s in instance.to_hit:
         solver.add_to_hit(s)
     for b in instance.blocked:
         solver.add_blocked(b)
-    return solver
-
-
-def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
-                        budget: int = DEFAULT_NODE_BUDGET) -> Optional[frozenset[int]]:
-    """A subset-minimal hitting set of `to_hit` that is a superset of no
-    blocked set, or None when no such set exists.
-
-    With `smallest=True` the result is additionally of minimum cardinality.
-    """
-    return _solver(instance, smallest, budget).next()
-
-
-def iterate_minimal_hitting_sets(instance: HittingSetInstance, smallest: bool = False,
-                                 budget: int = DEFAULT_NODE_BUDGET) -> Iterator[frozenset[int]]:
-    """Enumerate the complete family of minimal hitting sets by iterated
-    blocking: each reported set is blocked, which excludes exactly its
-    supersets and therefore no other minimal hitting set.  It is one search,
-    resumed after each block."""
-    solver = _solver(instance, smallest, budget)
-    while (found := solver.next()) is not None:
-        yield found
-        solver.add_blocked(found)
+    return solver.next()

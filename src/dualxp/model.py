@@ -12,7 +12,6 @@ them.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -63,9 +62,6 @@ class FeatureSpace:
 
     def domain_size(self, feature: int) -> int:
         return len(self.domains[feature])
-
-    def space_size(self) -> int:
-        return math.prod(len(d) for d in self.domains)
 
     def feature_index(self, name: str) -> int:
         try:

@@ -213,11 +213,10 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
     if sorted(header) != sorted(space.names):
         unknown = [h for h in header if h not in space.names]
         missing = [n for n in space.names if n not in header]
-        parts = []
-        if unknown:
-            parts.append(f"unknown feature(s) {unknown}")
-        if missing:
-            parts.append(f"missing feature(s) {missing}")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        parts = [f"{kind} {names}" for kind, names in (
+            ("unknown feature(s)", unknown), ("missing feature(s)", missing),
+            ("repeated column(s)", repeated)) if names]
         raise ParseError("instance CSV header: " + "; ".join(parts))
     columns = [space.feature_index(h) for h in header]
     instances = []

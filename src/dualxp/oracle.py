@@ -319,7 +319,11 @@ class Oracle:
         It counts one entailment query for the check of all candidates and
         one per candidate probed, as the same loop over `reaches` would.  On
         a decision tree it is one growing region walk
-        (`_tree_minimal_sufficient`); an ensemble runs that `reaches` loop."""
+        (`_tree_minimal_sufficient`); an ensemble runs that `reaches` loop.
+        ModelError if a candidate is not a feature index."""
+        features = range(self.space.n_features)
+        if bad := [f for f in candidates if f not in features]:
+            raise ModelError(f"candidates {bad} are not feature indices")
         if isinstance(self.classifier, DecisionTree):
             kept = _tree_minimal_sufficient(self.classifier.tree, instance.values,
                                             candidates, targets)

@@ -25,7 +25,7 @@ from dualxp.explain import (
     make_problem,
     targeted_cxp,
 )
-from dualxp.hitting import HittingSetInstance, iterate_minimal_hitting_sets
+from dualxp.hitting import HittingSetSolver
 from dualxp.model import Instance
 from dualxp.modelio import parse_instances, parse_model, serialize_model
 from dualxp.oracle import Oracle
@@ -124,8 +124,9 @@ def test_criterion_3_duality(corpus):
 
 
 def test_criterion_4_oracle_call_budgets(corpus):
-    # the +1 on both bounds is the documented precondition / seed-feasibility
-    # query, mirroring the deletion loop's seed sufficiency check
+    # the +1 on both bounds is the documented precondition query: the
+    # deletion loop's check that all features are sufficient, and the grow
+    # loop's check that the empty set admits a target completion
     ok = True
     for tree, instance in corpus:
         n = instance.n_features
@@ -186,9 +187,14 @@ def test_criterion_6_mhs_exactness():
             frozenset(rng.sample(universe, rng.randint(1, n)))
             for _ in range(rng.randint(1, 10))
         )
-        found = list(iterate_minimal_hitting_sets(
-            HittingSetInstance(universe, to_hit)
-        ))
+        # one solver, each answer blocked, as the enumeration loop drives it
+        solver = HittingSetSolver(universe)
+        for s in to_hit:
+            solver.add_to_hit(s)
+        found = []
+        while (h := solver.next()) is not None:
+            found.append(h)
+            solver.add_blocked(h)
         got = set(found)
         hitting = [
             frozenset(c)

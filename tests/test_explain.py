@@ -10,7 +10,6 @@ from dualxp.dual import (_completion_predictions, brute_force_corrections,
                          brute_force_explanations)
 from dualxp.explain import (
     CXp,
-    SeedNotSufficient,
     TargetUnreachable,
     check_axp,
     check_cxp,
@@ -32,11 +31,21 @@ def problem_for(classifier, instance, targets=None):
 
 def test_make_problem_checks(poole, e2):
     with pytest.raises(ModelError):
-        make_problem(Oracle(poole), e2, expected=SKIPS)
-    with pytest.raises(ModelError):
         make_problem(Oracle(poole), e2, targets={READS})
-    problem = make_problem(Oracle(poole), e2, expected=READS)
+    problem = make_problem(Oracle(poole), e2)
+    assert problem.predicted == READS
     assert problem.targets == frozenset({SKIPS})
+
+
+def test_make_problem_rejects_targets_that_are_not_classes(poole, e2, three_class_tree):
+    # an unknown class would make every set sufficient and no CXp reachable
+    for targets in ([5], [-1], [SKIPS, 2]):
+        with pytest.raises(ModelError, match="not class indices"):
+            make_problem(Oracle(poole), e2, targets=targets)
+    problem = make_problem(Oracle(three_class_tree), Instance((0, 0)), targets=[2])
+    assert problem.targets == frozenset({2})
+    with pytest.raises(ModelError, match="not class indices"):
+        make_problem(Oracle(three_class_tree), Instance((0, 0)), targets=[1, 3])
 
 
 def test_make_problem_rejects_instances_that_do_not_fit(poole):
@@ -66,23 +75,12 @@ def test_axp_order_sensitivity(poole, e2):
     assert set(axps) == {frozenset({L, T}), frozenset({L, A})}
 
 
-def test_axp_seed(poole, e2):
-    axp = extract_axp(problem_for(poole, e2), seed={L, T, A})
-    assert axp.features == frozenset({L, T})
-    with pytest.raises(SeedNotSufficient):
-        extract_axp(problem_for(poole, e2), seed={A, W})
-    with pytest.raises(ModelError):
-        extract_axp(problem_for(poole, Instance((0, 0, 0, 0))), seed=[0, 1, 2, 3, 99])
-    with pytest.raises(ModelError):
-        extract_axp(problem_for(poole, e2), seed={L, T, -1})
-
-
 def test_axp_call_count(poole, e2):
     problem = make_problem(Oracle(poole), e2)
     stats = problem.oracle.stats
     before = stats.entailment_calls
     extract_axp(problem)
-    # one seed sufficiency check plus exactly one deletion probe per feature
+    # one sufficiency check of all features plus exactly one deletion probe per feature
     assert stats.entailment_calls - before == e2.n_features + 1
 
 
@@ -336,21 +334,21 @@ def test_cxp_grow_matches_brute_force_reference():
     assert checked > 900
 
 
-def _reference_axp(oracle, instance, targets, seed, order):
-    """The deletion loop over plain `reaches` queries, one per seed feature
-    after the seed check; None if the seed reaches `targets`."""
-    kept = set(seed)
+def _reference_axp(oracle, instance, targets, candidates):
+    """The deletion loop over plain `reaches` queries, one per candidate
+    after the check of them all; None if the candidates reach `targets`."""
+    kept = set(candidates)
     if oracle.reaches(instance, kept, targets):
         return None
-    for f in order:
-        if f in seed and not oracle.reaches(instance, kept - {f}, targets):
+    for f in candidates:
+        if not oracle.reaches(instance, kept - {f}, targets):
             kept.discard(f)
     return frozenset(kept)
 
 
 def test_axp_region_walk_matches_reaches_loop():
     # a tree's deletion loop is one growing region walk; it must give the
-    # AXp, or the SeedNotSufficient, and the query count of the plain loop
+    # AXp, or the None, and the query count of the plain loop
     rng = random.Random(37)
     models = [shared_chain(12)]
     for _ in range(60):
@@ -371,23 +369,23 @@ def test_axp_region_walk_matches_reaches_loop():
                 for targets in itertools.combinations(others, size):
                     order = list(range(n))
                     rng.shuffle(order)
-                    for seed in (None, set(), set(rng.sample(range(n), rng.randint(1, n)))):
+                    for subset in (set(range(n)), set(),
+                                   set(rng.sample(range(n), rng.randint(1, n)))):
                         problem = problem_for(model, instance, targets=targets)
                         oracle = Oracle(model)
-                        seed_set = set(range(n)) if seed is None else seed
+                        probed = [f for f in order if f in subset]
                         expected = _reference_axp(oracle, instance, problem.targets,
-                                                  seed_set, order)
+                                                  probed)
                         before = problem.oracle.stats.entailment_calls
+                        kept = problem.oracle.minimal_sufficient(instance, probed,
+                                                                 problem.targets)
+                        assert kept == expected
                         if expected is None:
-                            with pytest.raises(SeedNotSufficient):
-                                extract_axp(problem, seed, order)
                             outcomes["not sufficient"] += 1
                         else:
-                            assert extract_axp(problem, seed, order).features == expected
                             outcomes["axp"] += 1
                             # only a probe that keeps its feature after another
                             # was dropped shows whether it left the region as it was
-                            probed = [f for f in order if f in seed_set]
                             if any(f not in expected and g in expected
                                    for f, g in itertools.combinations(probed, 2)):
                                 outcomes["kept after a drop"] += 1

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from dualxp.dual import minimal_transversals
 from dualxp.hitting import (
+    DEFAULT_NODE_BUDGET,
     BudgetExceeded,
     HittingSetInstance,
     HittingSetSolver,
-    iterate_minimal_hitting_sets,
     minimal_hitting_set,
 )
 
@@ -21,6 +21,21 @@ def hs(universe, to_hit, blocked=()):
         tuple(frozenset(s) for s in to_hit),
         tuple(frozenset(b) for b in blocked),
     )
+
+
+def every_minimal_hitting_set(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
+    """One solver driven as the enumeration loop drives it: each answer is
+    blocked, which excludes exactly its supersets, and the search resumes."""
+    solver = HittingSetSolver(inst.universe, smallest, budget)
+    for s in inst.to_hit:
+        solver.add_to_hit(s)
+    for b in inst.blocked:
+        solver.add_blocked(b)
+    found = []
+    while (h := solver.next()) is not None:
+        found.append(h)
+        solver.add_blocked(h)
+    return found
 
 
 def exhaustive_minimal_hitting_sets(universe, to_hit):
@@ -93,7 +108,7 @@ def test_iterated_enumeration_matches_exhaustive():
             for _ in range(rng.randint(1, 10))
         ]
         expected = exhaustive_minimal_hitting_sets(universe, to_hit)
-        found = list(iterate_minimal_hitting_sets(hs(universe, to_hit)))
+        found = every_minimal_hitting_set(hs(universe, to_hit))
         assert len(found) == len(expected) and set(found) == expected
         assert minimal_transversals([frozenset(s) for s in to_hit]) == expected
 
@@ -243,7 +258,7 @@ def test_node_counts_are_pinned():
                 minimal_hitting_set(inst, smallest, budget)
 
             def every(budget):
-                list(iterate_minimal_hitting_sets(inst, smallest, budget))
+                every_minimal_hitting_set(inst, smallest, budget)
 
             for run in (first, every):
                 k = fewest_nodes(run)

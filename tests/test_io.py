@@ -114,6 +114,14 @@ def test_parse_instances_unknown_feature(poole):
         parse_instances("A,T,L,Z\nknown,new,short,work\n", poole.space)
 
 
+def test_parse_instances_repeated_column(poole):
+    # every feature is there, so only the repeat can explain the mismatch
+    with pytest.raises(ParseError, match=r"^instance CSV header: repeated column\(s\) \['A'\]$"):
+        parse_instances("A,A,T,L,W\nknown,known,new,short,work\n", poole.space)
+    with pytest.raises(ParseError, match=r"missing feature\(s\) \['T'\]; repeated column\(s\) \['A'\]"):
+        parse_instances("A,A,L,W\nknown,known,short,work\n", poole.space)
+
+
 def test_parse_instances_missing_cell(poole):
     with pytest.raises(ParseError, match="row 1"):
         parse_instances("A,T,L,W\nknown,new,short\n", poole.space)

@@ -18,7 +18,6 @@ from dualxp.model import (
 def test_feature_space_basics(poole):
     space = poole.space
     assert space.n_features == 4
-    assert space.space_size() == 16
     assert space.feature_index("L") == L
     assert space.value_index(L, "short") == 1
     with pytest.raises(ModelError):

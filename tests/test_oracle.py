@@ -182,6 +182,20 @@ def test_stats_counting(poole, e2):
     assert stats.total_calls == 3
 
 
+def test_minimal_sufficient_rejects_non_feature_candidates(poole, e2):
+    # a tree walk would index past its features or from the end, and an
+    # ensemble's would ignore the entry
+    ensemble = synthetic_ensemble(n_features=6, trees_per_class=3)
+    for model, instance in ((poole, e2), (ensemble, Instance((0,) * 6))):
+        oracle = Oracle(model)
+        n = model.space.n_features
+        targets = frozenset(range(model.n_classes)) - {oracle.predict(instance)}
+        assert oracle.minimal_sufficient(instance, range(n), targets) is not None
+        for bad in (99, n, -1):
+            with pytest.raises(ModelError, match=rf"candidates \[{bad}\]"):
+                oracle.minimal_sufficient(instance, [0, bad, 1], targets)
+
+
 def test_ensemble_predict_deterministic_ties():
     from dualxp.model import AdditiveEnsemble
 
