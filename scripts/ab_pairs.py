@@ -9,8 +9,12 @@ alternates which of them goes first.  Only the last line of a run's
 standard output is read: the JSON summary with the end-to-end metrics.  It then prints one Markdown table row per metric
 that the change's BENCHMARK.json lists: each side's median with its
 quartiles, the change of the median, in how many pairs the change was the
-better one, and whether the medians differ by more than the distance
-between the parent's quartiles.  Progress goes to standard error.
+better one, whether the medians differ by more than the distance between
+the parent's quartiles, and whether the change's median is worse than the
+parent's by more than the metric's `bound` (a share of the parent's median).
+Progress goes to standard error.  A run that exits non-zero, reports wrong
+answers (`correct` false) or has failed queries stops the script with a
+non-zero exit before any table is printed.
 """
 from __future__ import annotations
 
@@ -42,9 +46,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         sys.exit(f"ab_pairs: {checkout} seed {seed} gave no JSON summary "
                  f"(exit {proc.returncode}):\n{proc.stderr}")
     if proc.returncode or not summary["correct"] or summary["failed"]:
-        print(f"ab_pairs: {checkout} seed {seed}: exit {proc.returncode}, "
-              f"correct {summary['correct']}, failed {summary['failed']}",
-              file=sys.stderr)
+        # a wrong or failing run measures something else: stop, take no medians
+        sys.exit(f"ab_pairs: {checkout} seed {seed}: exit {proc.returncode}, "
+                 f"correct {summary['correct']}, failed {summary['failed']}\n"
+                 f"{proc.stderr}")
     return {m: v["value"] for m, v in summary["metrics"].items()}
 
 
@@ -78,8 +83,8 @@ def main(argv=None) -> int:
 
     n = len(args.seeds)
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change | change wins | beyond parent IQR |")
-    print("|---|---|---|---|---|---|---|")
+          "| change | change wins | beyond parent IQR | worse beyond bound |")
+    print("|---|---|---|---|---|---|---|---|")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         parent = [r[name] for r in runs["parent"]]
@@ -90,8 +95,11 @@ def main(argv=None) -> int:
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
+        worse_by = (cm - pm) if lower else (pm - cm)
+        regressed = "yes" if worse_by > metric["bound"] * abs(pm) else "no"
         print(f"| {args.workload} | {name} | {fmt(pm)} [{fmt(p1)}, {fmt(p3)}] "
-              f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} |")
+              f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} "
+              f"| {regressed} |")
     return 0
 
 

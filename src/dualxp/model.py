@@ -7,7 +7,10 @@ and cached on the tree object, so every oracle over one classifier shares them.
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
 `Leaf` and `Split` use slots, since a large tree holds tens of thousands of
-them.
+them.  `Leaf` objects and `Split.children` tuples may be shared:
+`modelio.parse_model` gives the leaves of one model that carry the same value
+one `Leaf`, and its splits with equal child ids one tuple, so a node's id is
+its position in `TreeStructure.nodes`, never the identity of its object.
 """
 from __future__ import annotations
 

@@ -3,13 +3,22 @@
 The model format is a single JSON object; see docs/formats.md.  Serialization
 is canonical (fixed key order, two-space indent, trailing newline) so that
 parse/serialize round-trips are byte-identical.
+
+`parse_model` builds the model in one pass over the decoded document.  Each
+node check is a plain test that formats its message only when it fails; each
+node's JSON object is released once converted, and the whole document before
+validation, so a parse peaks barely above the document itself.  Within one
+model, leaves with equal values share one `Leaf` object and splits with equal
+child ids share one `children` tuple.  The trees of an ensemble often repeat
+child-id tuples (63 distinct ones among the 6,300 splits of the benchmark's
+ensemble-deep model), so their walks read a few kilobytes of tuples instead
+of one tuple per split scattered over the freed document.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
-from typing import Union
 
 from .model import (
     AdditiveEnsemble,
@@ -30,6 +39,9 @@ FORMAT_VERSION = 1
 
 class ParseError(ModelError):
     """Malformed model or instance input; the message names the location."""
+
+
+_ABSENT = object()  # a missing key, told apart from JSON null
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -55,66 +67,84 @@ def _parse_space(obj: dict) -> FeatureSpace:
         raise ParseError(f"invalid feature space: {e}") from e
 
 
-def _parse_nodes(obj: dict, space: FeatureSpace, feature_ids: dict[str, int],
-                 where: str, class_ids: dict[str, int] | None) -> TreeStructure:
-    """`feature_ids` and `class_ids` map each declared name to its index;
-    a regressor tree has no classes and reads integer scores."""
-    leaf_key = "class" if class_ids is not None else "score"
+def _parse_nodes(obj: dict, features: dict[str, tuple], where: str,
+                 leaf_key: str, leaves: dict, children_ids: dict) -> TreeStructure:
+    """Convert `obj["nodes"]`, releasing each node's JSON object once it is
+    converted.  `features` maps each declared feature name to its index,
+    domain and the domain as a set.  `leaves` maps a leaf's JSON value to its
+    shared `Leaf`: for a classifier tree ("class" leaves) it holds every
+    declared class name; for a regressor tree ("score" leaves) it starts
+    empty and gains each integer score as it is first read.  `children_ids`
+    likewise maps each tuple of child ids read so far to its shared copy."""
+    # json.loads gives exact built-in types, so `type(x) is int` also turns
+    # away JSON true and false
     nodes_json = obj.get("nodes")
-    _expect(isinstance(nodes_json, list) and nodes_json,
-            f"{where}: field 'nodes' must be a non-empty list")
+    if type(nodes_json) is not list or not nodes_json:
+        raise ParseError(f"{where}: field 'nodes' must be a non-empty list")
     root = obj.get("root", 0)
-    _expect(isinstance(root, int) and not isinstance(root, bool),
-            f"{where}: field 'root' must be an integer")
+    if type(root) is not int:
+        raise ParseError(f"{where}: field 'root' must be an integer")
+    by_class = leaf_key == "class"
     nodes: list[Node] = []
     for i, nj in enumerate(nodes_json):
-        _expect(isinstance(nj, dict), f"{where}: nodes[{i}] must be an object")
-        if leaf_key in nj:
-            val = nj[leaf_key]
-            if class_ids is not None:
-                _expect(isinstance(val, str), f"{where}: nodes[{i}].class must be a class name")
-                ci = class_ids.get(val)
-                _expect(ci is not None,
+        if type(nj) is not dict:
+            raise ParseError(f"{where}: nodes[{i}] must be an object")
+        val = nj.get(leaf_key, _ABSENT)
+        if val is not _ABSENT:
+            if by_class:
+                if type(val) is not str:
+                    raise ParseError(f"{where}: nodes[{i}].class must be a class name")
+                leaf = leaves.get(val)
+                if leaf is None:
+                    raise ParseError(
                         f"{where}: nodes[{i}].class '{val}' is not a declared class")
-                nodes.append(Leaf(ci))
             else:
-                _expect(isinstance(val, int) and not isinstance(val, bool),
-                        f"{where}: nodes[{i}].score must be an integer")
-                nodes.append(Leaf(val))
+                if type(val) is not int:
+                    raise ParseError(f"{where}: nodes[{i}].score must be an integer")
+                leaf = leaves.get(val)
+                if leaf is None:
+                    leaf = leaves[val] = Leaf(val)
+            nodes.append(leaf)
         elif "feature" in nj:
             fname = nj["feature"]
-            fi = feature_ids.get(fname) if isinstance(fname, str) else None
-            _expect(fi is not None,
-                    f"{where}: nodes[{i}].feature '{fname}' is not a declared feature")
+            try:
+                fi, dom, keys = features[fname]
+            except (KeyError, TypeError):
+                raise ParseError(f"{where}: nodes[{i}].feature '{fname}' is not "
+                                 "a declared feature") from None
             children = nj.get("children")
-            _expect(isinstance(children, dict),
-                    f"{where}: nodes[{i}].children must be an object")
-            dom = space.domains[fi]
-            _expect(set(children) == set(dom),
-                    f"{where}: nodes[{i}].children must map exactly the domain of "
-                    f"'{fname}' ({list(dom)})")
+            if type(children) is not dict:
+                raise ParseError(f"{where}: nodes[{i}].children must be an object")
+            if children.keys() != keys:
+                raise ParseError(f"{where}: nodes[{i}].children must map exactly "
+                                 f"the domain of '{fname}' ({list(dom)})")
             ids = []
             for cat in dom:
                 cid = children[cat]
-                _expect(isinstance(cid, int) and not isinstance(cid, bool),
+                if type(cid) is not int:
+                    raise ParseError(
                         f"{where}: nodes[{i}].children['{cat}'] must be a node id")
                 ids.append(cid)
-            nodes.append(Split(fi, tuple(ids)))
+            ids = tuple(ids)
+            nodes.append(Split(fi, children_ids.setdefault(ids, ids)))
         else:
             raise ParseError(
-                f"{where}: nodes[{i}] must carry either '{leaf_key}' or 'feature'"
-            )
+                f"{where}: nodes[{i}] must carry either '{leaf_key}' or 'feature'")
+        nodes_json[i] = None
     return TreeStructure(tuple(nodes), root)
 
 
-def parse_model(text: str) -> Classifier:
-    """Parse and fully validate a model file."""
+def _load_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
+
+
+def _build_classifier(obj) -> Classifier:
+    """The classifier of a decoded model document, not yet validated."""
     _expect(isinstance(obj, dict), "model file must contain a JSON object")
     version = obj.get("format_version")
     _expect(version == FORMAT_VERSION,
@@ -128,12 +158,13 @@ def parse_model(text: str) -> Classifier:
             and all(isinstance(c, str) for c in classes),
             "field 'classes' must list at least two class names")
     _expect(len(set(classes)) == len(classes), "duplicate class names")
-    feature_ids = {name: f for f, name in enumerate(space.names)}
+    features = {name: (f, dom, frozenset(dom))
+                for f, (name, dom) in enumerate(zip(space.names, space.domains))}
 
     if kind == "tree":
-        tree = _parse_nodes(obj, space, feature_ids, "tree",
-                            {name: c for c, name in enumerate(classes)})
-        classifier: Classifier = DecisionTree(space, tuple(classes), tree)
+        class_leaves = {name: Leaf(c) for c, name in enumerate(classes)}
+        tree = _parse_nodes(obj, features, "tree", "class", class_leaves, {})
+        return DecisionTree(space, tuple(classes), tree)
     else:
         scale = obj.get("scale")
         _expect(isinstance(scale, int) and not isinstance(scale, bool) and scale >= 1,
@@ -141,6 +172,8 @@ def parse_model(text: str) -> Classifier:
         groups_json = obj.get("trees")
         _expect(isinstance(groups_json, list) and len(groups_json) == len(classes),
                 "field 'trees' must hold one list of trees per class")
+        score_leaves: dict = {}
+        children_ids: dict = {}
         groups = []
         for ci, group in enumerate(groups_json):
             _expect(isinstance(group, list) and group,
@@ -148,12 +181,16 @@ def parse_model(text: str) -> Classifier:
             parsed = []
             for ti, t in enumerate(group):
                 _expect(isinstance(t, dict), f"trees[{ci}][{ti}] must be an object")
-                parsed.append(
-                    _parse_nodes(t, space, feature_ids, f"trees[{ci}][{ti}]", None)
-                )
+                parsed.append(_parse_nodes(t, features, f"trees[{ci}][{ti}]",
+                                           "score", score_leaves, children_ids))
             groups.append(tuple(parsed))
-        classifier = AdditiveEnsemble(space, tuple(classes), tuple(groups), scale)
+        return AdditiveEnsemble(space, tuple(classes), tuple(groups), scale)
 
+
+def parse_model(text: str) -> Classifier:
+    """Parse and fully validate a model file.  No reference to the decoded
+    document outlives `_build_classifier`, so it is freed before validation."""
+    classifier = _build_classifier(_load_json(text))
     problems = validate(classifier)
     if problems:
         raise ParseError("model validation failed: " + "; ".join(problems))
@@ -218,7 +255,11 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
             ("unknown feature(s)", unknown), ("missing feature(s)", missing),
             ("repeated column(s)", repeated)) if names]
         raise ParseError("instance CSV header: " + "; ".join(parts))
-    columns = [space.feature_index(h) for h in header]
+    # per column: its feature index and a map from category to value index
+    columns = []
+    for h in header:
+        fi = space.feature_index(h)
+        columns.append((fi, {cat: v for v, cat in enumerate(space.domains[fi])}))
     instances = []
     for r, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
@@ -226,14 +267,12 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
                 f"row {r}: expected {len(header)} cells, got {len(row)}"
             )
         values: list[int] = [0] * space.n_features
-        for cell, fi in zip(row, columns):
-            cat = cell.strip()
-            dom = space.domains[fi]
-            if cat not in dom:
-                raise ParseError(
-                    f"unknown category '{cat}' (row {r}, col {space.names[fi]})"
-                )
-            values[fi] = dom.index(cat)
+        for cell, (fi, value_of) in zip(row, columns):
+            v = value_of.get(cell.strip())
+            if v is None:
+                raise ParseError(f"unknown category '{cell.strip()}' "
+                                 f"(row {r}, col {space.names[fi]})")
+            values[fi] = v
         instances.append(Instance(tuple(values)))
     return instances
 

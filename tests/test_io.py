@@ -1,9 +1,13 @@
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 
+from conftest import random_shared_tree
 from dualxp.bundled import _read, poole_model, synthetic_ensemble_model
-from dualxp.model import AdditiveEnsemble, DecisionTree, Instance
+from dualxp.model import AdditiveEnsemble, DecisionTree, Instance, Leaf
 from dualxp.modelio import (
     ParseError,
     parse_instances,
@@ -11,6 +15,7 @@ from dualxp.modelio import (
     serialize_instances,
     serialize_model,
 )
+from dualxp.synth import random_space, random_tree, synthetic_ensemble
 
 
 def test_bundled_poole_parses(poole):
@@ -53,6 +58,65 @@ def test_ensemble_round_trip():
     text = serialize_model(model)
     assert parse_model(text) == model
     assert serialize_model(parse_model(text)) == text
+
+
+def _shared_parts(classifier) -> list[tuple[int, int]]:
+    """For the leaves and for the children tuples of the splits: the number
+    of distinct objects and of distinct values."""
+    trees = ([classifier.tree] if isinstance(classifier, DecisionTree)
+             else [t for group in classifier.trees for t in group])
+    nodes = [n for t in trees for n in t.nodes]
+    leaves = [n for n in nodes if isinstance(n, Leaf)]
+    children = [n.children for n in nodes if not isinstance(n, Leaf)]
+    return [(len({id(n) for n in leaves}), len({n.value for n in leaves})),
+            (len({id(c) for c in children}), len(set(children)))]
+
+
+def test_random_models_round_trip():
+    rng = random.Random(11)
+    models = []
+    for _ in range(30):
+        space = random_space(rng, rng.randint(1, 7), (1, 4))
+        models.append(random_tree(rng, space, rng.randint(2, 4),
+                                  max_depth=rng.randint(1, 6)))
+        models.append(random_shared_tree(rng, space, rng.randint(2, 4),
+                                         rng.randint(1, 25)))
+    for seed in range(6):
+        models.append(synthetic_ensemble(
+            seed=seed, n_features=rng.randint(2, 8), trees_per_class=3,
+            depth=rng.randint(1, 4), n_classes=rng.randint(2, 3)))
+    for model in models:
+        text = serialize_model(model)
+        parsed = parse_model(text)
+        assert parsed == model
+        assert serialize_model(parsed) == text
+        (leaf_objects, leaf_values), (tuples, children) = _shared_parts(parsed)
+        assert leaf_objects == leaf_values and tuples == children
+        if isinstance(parsed, DecisionTree):
+            assert leaf_objects <= len(parsed.classes)
+
+
+def test_parse_peak_stays_near_the_json_document():
+    """The JSON document is released as the model is built, so parsing peaks
+    barely above decoding the same text alone."""
+    rng = random.Random(2)
+    space = random_space(rng, 14, (2, 3))
+    text = serialize_model(random_tree(rng, space, 3, max_depth=11, leaf_prob=0.1))
+
+    def traced(parse):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = parse(text)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept, peak
+
+    _, _, json_peak = traced(json.loads)
+    model, model_kept, parse_peak = traced(parse_model)
+    assert len(model.tree.nodes) > 9000
+    assert parse_peak - json_peak < model_kept / 2
 
 
 def test_unknown_kind():
@@ -131,3 +195,66 @@ def test_instances_round_trip(poole):
     instances = [Instance((0, 0, 1, 1)), Instance((1, 1, 0, 0))]
     text = serialize_instances(instances, poole.space)
     assert parse_instances(text, poole.space) == instances
+
+
+def _tree_with(node_id: int, node) -> str:
+    obj = json.loads(_read("poole.json"))
+    obj["nodes"][node_id] = node
+    return json.dumps(obj)
+
+
+def _ensemble_with(node_id: int, node) -> str:
+    obj = json.loads(_read("synth_ensemble.json"))
+    obj["trees"][0][0]["nodes"][node_id] = node
+    return json.dumps(obj)
+
+
+def test_node_parse_messages_are_pinned():
+    # one malformed node per check of the node parser, with its full message
+    full_map = {"long": 1, "short": 2}
+    cases = [
+        (_tree_with(1, ["class", "skips"]), "tree: nodes[1] must be an object"),
+        (_tree_with(1, {"class": 1}), "tree: nodes[1].class must be a class name"),
+        (_tree_with(1, {"class": True}), "tree: nodes[1].class must be a class name"),
+        (_tree_with(1, {"class": "naps"}),
+         "tree: nodes[1].class 'naps' is not a declared class"),
+        (_ensemble_with(0, {"score": 1.5}),
+         "trees[0][0]: nodes[0].score must be an integer"),
+        (_ensemble_with(0, {"score": True}),
+         "trees[0][0]: nodes[0].score must be an integer"),
+        (_ensemble_with(0, {"score": "7"}),
+         "trees[0][0]: nodes[0].score must be an integer"),
+        (_tree_with(0, {"feature": "Q", "children": full_map}),
+         "tree: nodes[0].feature 'Q' is not a declared feature"),
+        (_tree_with(0, {"feature": 3, "children": full_map}),
+         "tree: nodes[0].feature '3' is not a declared feature"),
+        (_tree_with(0, {"feature": "L", "children": [1, 2]}),
+         "tree: nodes[0].children must be an object"),
+        (_tree_with(0, {"feature": "L"}), "tree: nodes[0].children must be an object"),
+        (_tree_with(0, {"feature": "L", "children": {"long": 1}}),
+         "tree: nodes[0].children must map exactly the domain of 'L' "
+         "(['long', 'short'])"),
+        (_tree_with(0, {"feature": "L", "children": {**full_map, "medium": 2}}),
+         "tree: nodes[0].children must map exactly the domain of 'L' "
+         "(['long', 'short'])"),
+        (_tree_with(0, {"feature": "L", "children": {"short": 2, "long": "1"}}),
+         "tree: nodes[0].children['long'] must be a node id"),
+        (_tree_with(0, {"feature": "L", "children": {"long": 1, "short": True}}),
+         "tree: nodes[0].children['short'] must be a node id"),
+        (_tree_with(0, {"feature": "L", "children": {"long": 1, "short": 2.0}}),
+         "tree: nodes[0].children['short'] must be a node id"),
+        (_tree_with(1, {}), "tree: nodes[1] must carry either 'class' or 'feature'"),
+        (_ensemble_with(0, {"class": "c0"}),
+         "trees[0][0]: nodes[0] must carry either 'score' or 'feature'"),
+    ]
+    obj = json.loads(_read("poole.json"))
+    for nodes in ([], {}, None):
+        obj["nodes"] = nodes
+        cases.append((json.dumps(obj), "tree: field 'nodes' must be a non-empty list"))
+    obj = json.loads(_read("synth_ensemble.json"))
+    obj["trees"][1][2]["root"] = True
+    cases.append((json.dumps(obj), "trees[1][2]: field 'root' must be an integer"))
+    for text, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_model(text)
+        assert str(info.value) == message
