@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
-from .explain import AXp, CXp, ExplanationProblem, _grow_correction, _order
+from .explain import AXp, CXp, ExplanationProblem, _order
 from .hitting import DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetSolver
 from .hitting import minimal_hitting_set  # noqa: F401  (perfbench's tracer patches it here)
 from .model import Classifier, DecisionTree, Instance, ModelError
@@ -112,9 +112,11 @@ def iterate_explanations(problem: ExplanationProblem,
                 # candidate's complement stays released), grow, and the
                 # resulting CXp is disjoint from the candidate: progress is
                 # guaranteed
-                kept = {f for f in ord_ if witness.values[f] == tau.values[f]}
-                found = _grow_correction(problem, kept, ord_, witness)
-                assert found is not None
+                kept = oracle.maximal_reaching(
+                    tau, {f for f in ord_ if witness.values[f] == tau.values[f]},
+                    ord_, problem.targets, witness)
+                found = CXp(frozenset(range(problem.n_features)) - kept,
+                            problem.targets)
                 solver.add_to_hit(found.features)
         (state.axps if isinstance(found, AXp) else state.cxps).append(found)
         if len(state.axps) + len(state.cxps) > DEFAULT_MAX_EXPLANATIONS:

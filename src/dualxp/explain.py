@@ -5,9 +5,11 @@ AXps come from one deletion pass over all features (one entailment query
 per feature), which `Oracle.minimal_sufficient` runs: on a decision tree as
 one growing walk of the nodes reachable under the kept features, where a
 probe explores only what dropping its feature frees, on an ensemble as one
-`reaches` query per probe.  CXps come from a grow-to-maximal loop over
-the features kept fixed, reusing the last witness to skip queries that
-cannot fail.
+`reaches` query per probe.  CXps come from the grow-to-maximal loop over
+the features kept fixed that `Oracle.maximal_reaching` runs, reusing the
+last witness to skip searches that cannot fail: on a decision tree each
+search is one path search that tries the instance's own branch first, so
+its witness agrees with the instance on more features.
 """
 from __future__ import annotations
 
@@ -103,50 +105,21 @@ def extract_axp(problem: ExplanationProblem,
         problem.instance, _order(problem, order), problem.targets))
 
 
-def _grow_correction(problem: ExplanationProblem, kept: set[int],
-                     order: Sequence[int],
-                     witness: Optional[Instance]) -> Optional[CXp]:
-    """Grow `kept` to a maximal set of fixed features that still admits a
-    completion predicting into the targets; the complement is a CXp.
-
-    `witness` must be a known target-class completion of the kept features
-    (pass None to have it established with one query).  Features the current
-    witness agrees with join for free; only disagreements cost a query.
-
-    Any target completion serves as a witness, not only the lexicographically
-    first, so each query asks for any (`first=False`; on a tree, one path
-    search).  The CXp does not depend on which one comes back: in `order`, a
-    feature joins exactly when the targets stay reachable with it kept too.
-    A witness that agrees with the instance on the feature is itself a
-    target completion of the grown set, so it only skips a query whose
-    answer is already known to be yes.
-    """
-    tau = problem.instance
-    oracle = problem.oracle
-    if witness is None:
-        witness = oracle.find_counterexample(tau, kept, problem.targets, first=False)
-        if witness is None:
-            return None
-    for f in order:
-        if f in kept:
-            continue
-        if witness.values[f] == tau.values[f]:
-            kept.add(f)
-            continue
-        w = oracle.find_counterexample(tau, kept | {f}, problem.targets, first=False)
-        if w is not None:
-            kept.add(f)
-            witness = w
-    rho = frozenset(range(problem.n_features)) - frozenset(kept)
-    return CXp(rho, problem.targets)
-
-
 def extract_cxp(problem: ExplanationProblem,
                 order: Optional[Sequence[int]] = None) -> Optional[CXp]:
     """One CXp into `problem.targets`, or None when no instance at all
     predicts into them.  Features are fixed to their instance values in
-    `order` while the targets stay reachable; the rest form the CXp."""
-    return _grow_correction(problem, set(), _order(problem, order), witness=None)
+    `order` while the targets stay reachable; the rest form the CXp.
+
+    `Oracle.maximal_reaching` runs the grow loop, which reuses the last
+    witness to skip the searches whose answer is already known.  Any target
+    completion serves as a witness, so the CXp does not depend on which one
+    a search finds."""
+    kept = problem.oracle.maximal_reaching(
+        problem.instance, (), _order(problem, order), problem.targets)
+    if kept is None:
+        return None
+    return CXp(frozenset(range(problem.n_features)) - kept, problem.targets)
 
 
 def targeted_cxp(problem: ExplanationProblem,

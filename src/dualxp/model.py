@@ -211,13 +211,17 @@ Classifier = Union[DecisionTree, AdditiveEnsemble]
 
 
 def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,
-                leaf_check, problems: list[str]) -> None:
+                n_classes: Optional[int], problems: list[str]) -> None:
     """Append `tree`'s structural problems to `problems`, in depth-first
-    order from the root.  Splits may share children, so the nodes form a
-    DAG; each node is checked once, however many paths reach it.  A split's
-    feature "repeats on the path" when some ancestor splits on it too, so
-    no feature repeats on any path of a valid tree."""
+    order from the root.  A leaf's value must be a class index below
+    `n_classes`, or, when that is None, an integer score.  Splits may share
+    children, so the nodes form a DAG; each node is checked once, however
+    many paths reach it.  A split's feature "repeats on the path" when some
+    ancestor splits on it too, so no feature repeats on any path of a valid
+    tree."""
     n = len(tree.nodes)
+    n_features = space.n_features
+    sizes = [len(d) for d in space.domains]
     if not (0 <= tree.root < n):
         problems.append(f"{where}: root id {tree.root} out of range")
         return
@@ -255,24 +259,31 @@ def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,
         visited[node_id] = 1
         node = tree.nodes[node_id]
         if isinstance(node, Leaf):
-            found.extend(leaf_check(node_id, node))
+            v = node.value
+            if n_classes is None:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    found.append(f"{where}: leaf {node_id} score is not an integer")
+            elif not 0 <= v < n_classes:
+                found.append(f"{where}: leaf {node_id} class index {v} out of range")
             continue
         above[node_id] = mask
-        if not (0 <= node.feature < space.n_features):
+        f = node.feature
+        if not 0 <= f < n_features:
             found.append(f"{where}: node {node_id} feature index out of range")
             continue
         found.append(node_id)
-        if len(node.children) != space.domain_size(node.feature):
+        children = node.children
+        if len(children) != sizes[f]:
             found.append(
                 f"{where}: node {node_id} non-total children map for feature "
-                f"'{space.names[node.feature]}' "
-                f"({len(node.children)} of {space.domain_size(node.feature)})"
+                f"'{space.names[f]}' ({len(children)} of {sizes[f]})"
             )
             continue
         on_path.add(node_id)
         stack.append((node_id, None, 0))
-        mask |= 1 << node.feature
-        stack.extend((node_id, child, mask) for child in reversed(node.children))
+        mask |= 1 << f
+        for child in reversed(children):
+            stack.append((node_id, child, mask))
     if rejoined:
         # add the features above every other path to a node.  Without its
         # back edges the walk is acyclic, and a split finishes after
@@ -292,8 +303,8 @@ def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,
                 f"{where}: feature '{space.names[tree.nodes[entry].feature]}' "
                 f"repeats on the path to node {entry}"
             )
-    unreachable = [i for i in range(n) if not visited[i]]
-    if unreachable:
+    if 0 in visited:
+        unreachable = [i for i in range(n) if not visited[i]]
         problems.append(f"{where}: nodes unreachable from root: {unreachable}")
 
 
@@ -304,12 +315,8 @@ def validate(classifier: Classifier) -> list[str]:
     if len(classifier.classes) < 2:
         problems.append("fewer than two classes")
     if isinstance(classifier, DecisionTree):
-        def leaf_check(node_id: int, leaf: Leaf) -> list[str]:
-            if not (0 <= leaf.value < len(classifier.classes)):
-                return [f"tree: leaf {node_id} class index {leaf.value} out of range"]
-            return []
-
-        _check_tree(space, classifier.tree, "tree", leaf_check, problems)
+        _check_tree(space, classifier.tree, "tree", len(classifier.classes),
+                    problems)
     else:
         if len(classifier.trees) != len(classifier.classes):
             problems.append(
@@ -320,12 +327,7 @@ def validate(classifier: Classifier) -> list[str]:
             problems.append("ensemble: scale must be a positive integer")
         for ci, group in enumerate(classifier.trees):
             for ti, tree in enumerate(group):
-                def leaf_check(node_id: int, leaf: Leaf, _w=f"class {ci} tree {ti}") -> list[str]:
-                    if not isinstance(leaf.value, int) or isinstance(leaf.value, bool):
-                        return [f"{_w}: leaf {node_id} score is not an integer"]
-                    return []
-
-                _check_tree(space, tree, f"class {ci} tree {ti}", leaf_check, problems)
+                _check_tree(space, tree, f"class {ci} tree {ti}", None, problems)
     return problems
 
 

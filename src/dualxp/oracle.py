@@ -3,10 +3,8 @@
 A query fixes the features in a kept set to their values in an instance and
 leaves the rest free.  Decision trees are answered by one iterative search
 for a feasible path to a leaf of the wanted classes.  A counterexample is
-by default the lexicographically first completion, built feature by feature
-on the last path found; asked for any completion, a tree gives the one that
-follows the first path found and agrees with the instance off it, after that
-single search.  Additive ensembles are answered by one loop over the
+the lexicographically first completion, built feature by feature on the
+last path found.  Additive ensembles are answered by one loop over the
 `itertools.product` of per-feature value ranges (a free feature's domain, a
 kept feature's instance value), which yields full value tuples in
 lexicographic order; the product of the range lengths is capped first.
@@ -15,13 +13,19 @@ Every walk, predictions and path searches alike, reads the flat node arrays
 that each tree compiles once (`TreeStructure.arrays`,
 `AdditiveEnsemble.class_arrays`).
 Every public query bumps the per-session OracleStats exactly once, except
-`minimal_sufficient`, which counts the entailment queries of the deletion
-loop it stands for.
+`minimal_sufficient` and `maximal_reaching`, which count the queries of the
+deletion and grow loops they stand for.
 
 An AXp's deletion loop on a decision tree asks no separate path searches:
 `_tree_minimal_sufficient` grows one region of reachable nodes as features
 are dropped, and a probe explores only the nodes that dropping its feature
 frees, so every node joins the region at most once.
+
+A CXp's grow loop on a decision tree (`_tree_maximal_reaching`) keeps one
+list of fixed values and the last path found as its witness, and each of
+its path searches tries the instance's own branch first at every free
+split, so the witness agrees with the instance on as many features as that
+search allows and those features join with no search of their own.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
 of an instance in one walk of the same arrays.
@@ -88,10 +92,16 @@ def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
 
 
 def _tree_path(tree: TreeStructure, values: list[Optional[int]],
-               targets: frozenset[int]) -> Optional[dict[int, int]]:
+               targets: frozenset[int],
+               prefer: Optional[Sequence[int]] = None) -> Optional[dict[int, int]]:
     """Branch values of the free features (None in `values`) on the first
-    path, depth first with children in ascending value order, to a leaf with
-    class in `targets` that is feasible under `values`; None if there is none.
+    path, depth first, to a leaf with class in `targets` that is feasible
+    under `values`; None if there is none.
+
+    A free split tries its children in ascending value order, or, given
+    `prefer`, its child for the preferred value first and then the rest in
+    ascending order; the path then leaves out the free features whose
+    branch is the preferred one.  A kept split is followed on the spot.
 
     Each node is expanded at most once: whether a target leaf is reachable
     from a node does not depend on the path to it, because no feature
@@ -100,30 +110,73 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
     feature, children, value = tree.arrays
     seen: set[int] = set()
     # entries are (node id, link); a link is (parent link, feature, value)
-    # for the free-feature branches taken on the way down, or None
+    # for the free-feature branches recorded on the way down, or None
     stack: list[tuple[int, Optional[tuple]]] = [(tree.root, None)]
     while stack:
         node_id, link = stack.pop()
-        if node_id in seen:
-            continue
-        seen.add(node_id)
-        f = feature[node_id]
-        if f < 0:
-            if value[node_id] in targets:
-                path = {}
-                while link is not None:
-                    link, f, v = link
-                    path[f] = v
-                return path
-            continue
-        fixed = values[f]
-        if fixed is not None:
-            stack.append((children[node_id][fixed], link))
-            continue
-        kids = children[node_id]
-        for v in range(len(kids) - 1, -1, -1):
-            stack.append((kids[v], (link, f, v)))
+        while node_id not in seen:
+            seen.add(node_id)
+            f = feature[node_id]
+            if f < 0:
+                if value[node_id] in targets:
+                    path = {}
+                    while link is not None:
+                        link, f, v = link
+                        path[f] = v
+                    return path
+                break
+            fixed = values[f]
+            if fixed is not None:
+                node_id = children[node_id][fixed]
+                continue
+            kids = children[node_id]
+            own = -1 if prefer is None else prefer[f]
+            for v in range(len(kids) - 1, -1, -1):
+                if v != own:
+                    stack.append((kids[v], (link, f, v)))
+            if own >= 0:
+                stack.append((kids[own], link))
+            break
     return None
+
+
+def _tree_maximal_reaching(tree: TreeStructure, values: tuple[int, ...],
+                           kept: AbstractSet[int], order: Sequence[int],
+                           targets: frozenset[int],
+                           witness: Optional[Instance]) -> tuple[Optional[frozenset[int]], int]:
+    """The grow loop of `Oracle.maximal_reaching` on a decision tree, and
+    the number of path searches it made.
+
+    One `fixed` list holds the kept features at `values`, and the last path
+    found stands for the witness: it takes its branch values on the path
+    and `values` off it.  Each search tries the instance's own branch first
+    at every free split, so the path leaves out the features on which the
+    witness agrees with the instance, and more features join with no search.
+    """
+    fixed: list[Optional[int]] = [v if f in kept else None
+                                  for f, v in enumerate(values)]
+    if witness is None:
+        path = _tree_path(tree, fixed, targets, values)
+        if path is None:
+            return None, 1
+        searches = 1
+    else:
+        path = {f: w for f, (w, v) in enumerate(zip(witness.values, values))
+                if w != v}
+        searches = 0
+    for f in order:
+        if fixed[f] is not None:
+            continue
+        v = fixed[f] = values[f]
+        if path.get(f, v) == v:
+            continue
+        searches += 1
+        found = _tree_path(tree, fixed, targets, values)
+        if found is None:
+            fixed[f] = None
+        else:
+            path = found
+    return frozenset(f for f, v in enumerate(fixed) if v is not None), searches
 
 
 def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
@@ -260,7 +313,9 @@ class Oracle:
     On a decision tree each is one iterative path search, plus one more per
     value tried below the last path's branch when building the
     lexicographically first counterexample.  `minimal_sufficient` runs a
-    whole AXp deletion loop, on a tree as one region walk.
+    whole AXp deletion loop, on a tree as one region walk, and
+    `maximal_reaching` a whole CXp grow loop, on a tree as one path search
+    per feature the last witness disagrees on.
 
     One Oracle per explanation session: the stats object and the prediction
     cache are its only mutable state.  The cache is keyed on full value
@@ -337,31 +392,68 @@ class Oracle:
                 kept.discard(f)
         return frozenset(kept)
 
-    def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
-                            targets: frozenset[int], *,
-                            first: bool = True) -> Optional[Instance]:
-        """A completion of the `kept` features of `instance` that predicts
-        into `targets`, or None if there is none.
+    def maximal_reaching(self, instance: Instance, kept: AbstractSet[int],
+                         order: Sequence[int], targets: frozenset[int],
+                         witness: Optional[Instance] = None,
+                         ) -> Optional[frozenset[int]]:
+        """The grow loop over `order`, or None if no completion of the `kept`
+        features reaches `targets`.  Each feature not yet kept, in the given
+        order, joins when the targets stay reachable with it kept too; what
+        is kept at the end is a maximal set whose completions still reach
+        them, and the features outside it form a CXp.
 
-        With `first` it is the lexicographically first one.  Without it, any
-        one will do: on a decision tree that is the completion taking the
-        branch values of the first feasible path found and the instance's
-        values elsewhere, after one path search; an ensemble still gives the
-        first, which its search finds first anyway."""
+        `witness`, if given, must be a completion of `kept` that predicts
+        into `targets`; otherwise one search establishes it.  A feature on
+        which the current witness agrees with the instance joins with no
+        search; each other feature costs one, whose completion, if there is
+        one, becomes the witness.  It counts one witness query per search.
+        On a decision tree each search is one path search that tries the
+        instance's own branch first, so the witness agrees with the instance
+        on more features; an ensemble searches its completions in
+        lexicographic order.  ModelError if a feature in `order` is not a
+        feature index."""
+        features = range(self.space.n_features)
+        if bad := [f for f in order if f not in features]:
+            raise ModelError(f"order {bad} are not feature indices")
+        targets = frozenset(targets)
+        if isinstance(self.classifier, DecisionTree):
+            grown, searches = _tree_maximal_reaching(
+                self.classifier.tree, instance.values, kept, order, targets, witness)
+            self.stats.witness_calls += searches
+            return grown
+        tau = instance.values
+        fixed = _kept_values(instance, kept)
+        if witness is None:
+            self.stats.witness_calls += 1
+            witness = self._ensemble_completion(fixed, targets)
+            if witness is None:
+                return None
+        for f in order:
+            if fixed[f] is not None:
+                continue
+            fixed[f] = tau[f]
+            if witness.values[f] == tau[f]:
+                continue
+            self.stats.witness_calls += 1
+            found = self._ensemble_completion(fixed, targets)
+            if found is None:
+                fixed[f] = None
+            else:
+                witness = found
+        return frozenset(f for f, v in enumerate(fixed) if v is not None)
+
+    def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
+                            targets: frozenset[int]) -> Optional[Instance]:
+        """The lexicographically first completion of the `kept` features of
+        `instance` that predicts into `targets`, or None if there is none."""
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
         values = _kept_values(instance, kept)
         targets = frozenset(targets)
-        if not isinstance(self.classifier, DecisionTree):
-            return self._ensemble_completion(values, targets)
-        if first:
+        if isinstance(self.classifier, DecisionTree):
             return self._tree_completion(values, targets)
-        path = _tree_path(self.classifier.tree, values, targets)
-        if path is None:
-            return None
-        # the path holds only free features, so the kept ones keep their values
-        return Instance(tuple(path.get(f, v) for f, v in enumerate(instance.values)))
+        return self._ensemble_completion(values, targets)
 
     # internal machinery (not counted in stats)
 

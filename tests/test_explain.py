@@ -19,10 +19,11 @@ from dualxp.explain import (
     make_problem,
     targeted_cxp,
 )
-from dualxp.model import Instance, ModelError, PartialAssignment
+from dualxp.model import DecisionTree, Instance, ModelError, PartialAssignment
 from dualxp.modelio import parse_instances
-from dualxp.oracle import Oracle, raw_predict
-from dualxp.synth import random_instance, random_space, random_tree
+from dualxp.oracle import Oracle, _tree_path, raw_predict
+from dualxp.synth import (random_instance, random_space, random_tree,
+                          synthetic_ensemble)
 
 
 def problem_for(classifier, instance, targets=None):
@@ -392,3 +393,108 @@ def test_axp_region_walk_matches_reaches_loop():
                         assert (problem.oracle.stats.entailment_calls - before
                                 == oracle.stats.entailment_calls)
     assert min(outcomes.values()) > 300, outcomes
+
+
+def _reference_grow(oracle, instance, kept, order, targets, witness):
+    """The grow loop as a plain loop of searches, and the number of searches
+    it made: a feature joins when the current witness agrees with the
+    instance on it, or when a search with it kept finds a new witness.  A
+    search is `find_counterexample` on an ensemble, and on a tree the first
+    path search in ascending branch order, completed with the instance's
+    values off the path."""
+    tau = instance.values
+
+    def search(fixed):
+        if not isinstance(oracle.classifier, DecisionTree):
+            return oracle.find_counterexample(instance, fixed, targets)
+        values = [v if f in fixed else None for f, v in enumerate(tau)]
+        path = _tree_path(oracle.classifier.tree, values, targets)
+        if path is None:
+            return None
+        return Instance(tuple(path.get(f, v) for f, v in enumerate(tau)))
+
+    kept = set(kept)
+    searches = 0
+    if witness is None:
+        searches += 1
+        witness = search(kept)
+        if witness is None:
+            return None, searches
+    for f in order:
+        if f in kept:
+            continue
+        if witness.values[f] == tau[f]:
+            kept.add(f)
+            continue
+        searches += 1
+        found = search(kept | {f})
+        if found is not None:
+            kept.add(f)
+            witness = found
+    return frozenset(kept), searches
+
+
+def test_maximal_reaching_matches_grow_loop():
+    # the oracle's grow loop must keep what the plain loop keeps; an
+    # ensemble makes the same searches, and a tree, whose searches try the
+    # instance's own branch first, no more of them
+    rng = random.Random(41)
+    models = [shared_chain(7)]
+    for _ in range(40):
+        space = random_space(rng, rng.randint(2, 7), (2, 3))
+        models.append(random_tree(rng, space, rng.randint(2, 3), max_depth=5))
+        space = random_space(rng, rng.randint(2, 7), (2, 3))
+        models.append(random_shared_tree(rng, space, rng.randint(2, 3),
+                                         rng.randint(2, 20)))
+    for seed in range(30):
+        # score ranges of 1 and 2 make class scores tie often
+        models.append(synthetic_ensemble(
+            seed=seed, n_features=rng.randint(3, 6),
+            trees_per_class=rng.randint(1, 3), depth=3,
+            n_classes=2 + seed % 2, score_range=(1, 2, 250000)[seed % 3]))
+    outcomes = {(kind, outcome): 0 for kind in ("tree", "ensemble")
+                for outcome in ("unreachable", "grown", "seeded")}
+    tree_searches = {"oracle": 0, "reference": 0}
+    for model in models:
+        n = model.space.n_features
+        kind = "tree" if isinstance(model, DecisionTree) else "ensemble"
+        for _ in range(4):
+            instance = random_instance(rng, model.space)
+            predicted = raw_predict(model, instance.values)
+            others = sorted(set(range(model.n_classes)) - {predicted})
+            chosen = frozenset(rng.sample(others, rng.randint(1, len(others))))
+            for targets in (frozenset(others), chosen):
+                order = list(range(n))
+                rng.shuffle(order)
+                oracle = Oracle(model)
+                candidate = set(rng.sample(range(n), rng.randint(0, n)))
+                seeds = [(set(), None), (candidate, None)]
+                # the seed `iterate_explanations` passes: a candidate's
+                # lexicographic witness and every feature it agrees on
+                witness = oracle.find_counterexample(instance, candidate, targets)
+                if witness is not None:
+                    seeds.append(({f for f in range(n)
+                                   if witness.values[f] == instance.values[f]},
+                                  witness))
+                for kept, seed_witness in seeds:
+                    expected, searches = _reference_grow(
+                        oracle, instance, kept, order, targets, seed_witness)
+                    before = oracle.stats.witness_calls
+                    grown = oracle.maximal_reaching(instance, kept, order, targets,
+                                                    seed_witness)
+                    made = oracle.stats.witness_calls - before
+                    assert grown == expected
+                    if kind == "tree":
+                        assert made <= n + 1
+                        tree_searches["oracle"] += made
+                        tree_searches["reference"] += searches
+                    else:
+                        assert made == searches
+                    if grown is None:
+                        outcomes[kind, "unreachable"] += 1
+                    else:
+                        assert grown >= kept
+                        outcomes[kind, "seeded" if seed_witness else "grown"] += 1
+    # trying the instance's own branch first saves searches over the corpus
+    assert tree_searches["oracle"] < tree_searches["reference"], tree_searches
+    assert min(outcomes.values()) > 80, outcomes
