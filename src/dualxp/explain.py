@@ -5,11 +5,13 @@ AXps come from one deletion pass over all features (one entailment query
 per feature), which `Oracle.minimal_sufficient` runs: on a decision tree as
 one growing walk of the nodes reachable under the kept features, where a
 probe explores only what dropping its feature frees, on an ensemble as one
-`reaches` query per probe.  CXps come from the grow-to-maximal loop over
-the features kept fixed that `Oracle.maximal_reaching` runs, reusing the
-last witness to skip searches that cannot fail: on a decision tree each
-search is one path search that tries the instance's own branch first, so
-its witness agrees with the instance on more features.
+search per probe over only the completions that move its feature off the
+instance's value, since those that keep it were refuted just before.  CXps
+come from the grow-to-maximal loop over the features kept fixed that
+`Oracle.maximal_reaching` runs, reusing the last witness to skip searches
+that cannot fail: on a decision tree each search is one path search that
+tries the instance's own branch first, so its witness agrees with the
+instance on more features.
 """
 from __future__ import annotations
 

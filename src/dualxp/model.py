@@ -66,6 +66,12 @@ class FeatureSpace:
     def domain_size(self, feature: int) -> int:
         return len(self.domains[feature])
 
+    @functools.cached_property
+    def value_ranges(self) -> tuple[tuple[int, ...], ...]:
+        """Per feature, the tuple of its value indices, built on first use
+        and kept, so an ensemble query builds no ranges of its own."""
+        return tuple(tuple(range(len(dom))) for dom in self.domains)
+
     def feature_index(self, name: str) -> int:
         try:
             return self.names.index(name)

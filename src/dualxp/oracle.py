@@ -4,11 +4,18 @@ A query fixes the features in a kept set to their values in an instance and
 leaves the rest free.  Decision trees are answered by one iterative search
 for a feasible path to a leaf of the wanted classes.  A counterexample is
 the lexicographically first completion, built feature by feature on the
-last path found.  Additive ensembles are answered by one loop over the
-`itertools.product` of per-feature value ranges (a free feature's domain, a
-kept feature's instance value), which yields full value tuples in
-lexicographic order; the product of the range lengths is capped first.
-Each completion not yet in the prediction cache is scored by `raw_predict`.
+last path found.  Additive ensembles are answered by one completion loop,
+`Oracle._first_target`, over the `itertools.product` of per-feature value
+ranges (a free feature's domain, kept once on the `FeatureSpace`, or a kept
+feature's instance value), which yields full value tuples in lexicographic
+order.  Each completion not yet in the prediction cache is scored by
+`raw_predict`.  Every query's number of completions, the product of its
+range lengths, is checked against the completion cap before its search.
+The deletion and grow loops keep one ranges list and update it in place as
+features are dropped or fixed.  A deletion probe of feature f searches only
+the completions that move f off its instance value, because those that keep
+it were refuted under the last kept set; it is still capped as the whole
+kept set without f.
 Every walk, predictions and path searches alike, reads the flat node arrays
 that each tree compiles once (`TreeStructure.arrays`,
 `AdditiveEnsemble.class_arrays`).
@@ -359,10 +366,12 @@ class Oracle:
         predicts into `targets`.  It builds no completion, and it counts as
         an entailment query."""
         self.stats.entailment_calls += 1
-        values = _kept_values(instance, kept)
         if isinstance(self.classifier, DecisionTree):
-            return _tree_path(self.classifier.tree, values, targets) is not None
-        return self._ensemble_completion(values, targets) is not None
+            return _tree_path(self.classifier.tree, _kept_values(instance, kept),
+                              targets) is not None
+        ranges = self._ranges(instance, kept)
+        self._capped(math.prod(map(len, ranges)))
+        return self._first_target(ranges, targets) is not None
 
     def minimal_sufficient(self, instance: Instance, candidates: Sequence[int],
                            targets: frozenset[int]) -> Optional[frozenset[int]]:
@@ -372,9 +381,12 @@ class Oracle:
         stays is a subset-minimal set whose completions all miss them.
 
         It counts one entailment query for the check of all candidates and
-        one per candidate probed, as the same loop over `reaches` would.  On
-        a decision tree it is one growing region walk
-        (`_tree_minimal_sufficient`); an ensemble runs that `reaches` loop.
+        one per candidate probed, as the same loop over `reaches` would, and
+        raises SearchSpaceExceeded at the same query.  On a decision tree it
+        is one growing region walk (`_tree_minimal_sufficient`).  On an
+        ensemble the probe of f searches only the completions with f off its
+        instance value, since those with f at it were just refuted; a
+        repeated candidate, already dropped, needs no search.
         ModelError if a candidate is not a feature index."""
         features = range(self.space.n_features)
         if bad := [f for f in candidates if f not in features]:
@@ -385,11 +397,29 @@ class Oracle:
             self.stats.entailment_calls += 1 if kept is None else 1 + len(candidates)
             return kept
         kept = set(candidates)
-        if self.reaches(instance, kept, targets):
+        self.stats.entailment_calls += 1
+        ranges = self._ranges(instance, kept)
+        size = self._capped(math.prod(map(len, ranges)))
+        if self._first_target(ranges, targets) is not None:
             return None
+        domains = self.space.value_ranges
         for f in candidates:
-            if not self.reaches(instance, kept - {f}, targets):
+            self.stats.entailment_calls += 1
+            if f not in kept:
+                continue  # dropped by an earlier copy of it in `candidates`
+            domain = domains[f]
+            # checked as the whole kept set without f, though the completions
+            # that keep f at its value were refuted and are not searched again
+            self._capped(size * len(domain))
+            own = ranges[f]
+            v = own[0]
+            ranges[f] = domain[:v] + domain[v + 1:]
+            if self._first_target(ranges, targets) is None:
                 kept.discard(f)
+                ranges[f] = domain
+                size *= len(domain)
+            else:
+                ranges[f] = own
         return frozenset(kept)
 
     def maximal_reaching(self, instance: Instance, kept: AbstractSet[int],
@@ -422,25 +452,37 @@ class Oracle:
             self.stats.witness_calls += searches
             return grown
         tau = instance.values
-        fixed = _kept_values(instance, kept)
+        fixed = [f in kept for f in range(len(tau))]
+        ranges = self._ranges(instance, kept)
+        size = math.prod(map(len, ranges))
         if witness is None:
             self.stats.witness_calls += 1
-            witness = self._ensemble_completion(fixed, targets)
+            self._capped(size)
+            witness = self._first_target(ranges, targets)
             if witness is None:
                 return None
+        else:
+            witness = witness.values
+        domains = self.space.value_ranges
         for f in order:
-            if fixed[f] is not None:
+            if fixed[f]:
                 continue
-            fixed[f] = tau[f]
-            if witness.values[f] == tau[f]:
+            fixed[f] = True
+            v = tau[f]
+            ranges[f] = (v,)
+            size //= len(domains[f])
+            if witness[f] == v:
                 continue
             self.stats.witness_calls += 1
-            found = self._ensemble_completion(fixed, targets)
+            self._capped(size)
+            found = self._first_target(ranges, targets)
             if found is None:
-                fixed[f] = None
+                fixed[f] = False
+                ranges[f] = domains[f]
+                size *= len(domains[f])
             else:
                 witness = found
-        return frozenset(f for f, v in enumerate(fixed) if v is not None)
+        return frozenset(f for f, k in enumerate(fixed) if k)
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int]) -> Optional[Instance]:
@@ -449,11 +491,13 @@ class Oracle:
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
-        values = _kept_values(instance, kept)
         targets = frozenset(targets)
         if isinstance(self.classifier, DecisionTree):
-            return self._tree_completion(values, targets)
-        return self._ensemble_completion(values, targets)
+            return self._tree_completion(_kept_values(instance, kept), targets)
+        ranges = self._ranges(instance, kept)
+        self._capped(math.prod(map(len, ranges)))
+        found = self._first_target(ranges, targets)
+        return None if found is None else Instance(found)
 
     # internal machinery (not counted in stats)
 
@@ -488,17 +532,37 @@ class Oracle:
                 values[f] = w
         return Instance(tuple(values))
 
-    def _ensemble_completion(self, sigma_values: list[Optional[int]],
-                             targets: frozenset[int]) -> Optional[Instance]:
-        ranges = [range(self.space.domain_size(f)) if v is None else (v,)
-                  for f, v in enumerate(sigma_values)]
-        if math.prod(map(len, ranges)) > self.completion_cap:
+    def _ranges(self, instance: Instance,
+                kept: AbstractSet[int]) -> list[tuple[int, ...]]:
+        """Per feature, the instance's value alone if it is in `kept`, else
+        the feature's whole domain."""
+        domains = self.space.value_ranges
+        return [(v,) if f in kept else domains[f]
+                for f, v in enumerate(instance.values)]
+
+    def _capped(self, size: int) -> int:
+        """`size`, the number of completions a query stands for, unless it
+        exceeds the completion cap."""
+        if size > self.completion_cap:
             raise SearchSpaceExceeded(
                 f"free-feature product exceeds the completion cap "
                 f"({self.completion_cap}); fix more features or use a "
                 f"smaller model"
             )
+        return size
+
+    def _first_target(self, ranges: Sequence[tuple[int, ...]],
+                      targets: AbstractSet[int]) -> Optional[tuple[int, ...]]:
+        """The first completion in `itertools.product(*ranges)`, which is
+        lexicographic, that predicts into `targets`; None if there is none.
+        A completion not yet in the prediction cache is scored by
+        `raw_predict`, looked up in this module on every miss."""
+        cache = self._cache
+        classifier = self.classifier
         for full in itertools.product(*ranges):
-            if self._predict(full) in targets:
-                return Instance(full)
+            predicted = cache.get(full)
+            if predicted is None:
+                predicted = cache[full] = raw_predict(classifier, full)
+            if predicted in targets:
+                return full
         return None

@@ -19,9 +19,10 @@ from dualxp.explain import (
     make_problem,
     targeted_cxp,
 )
-from dualxp.model import DecisionTree, Instance, ModelError, PartialAssignment
+from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace, Instance,
+                          ModelError, PartialAssignment, validated)
 from dualxp.modelio import parse_instances
-from dualxp.oracle import Oracle, _tree_path, raw_predict
+from dualxp.oracle import Oracle, SearchSpaceExceeded, _tree_path, raw_predict
 from dualxp.synth import (random_instance, random_space, random_tree,
                           synthetic_ensemble)
 
@@ -395,6 +396,72 @@ def test_axp_region_walk_matches_reaches_loop():
     assert min(outcomes.values()) > 300, outcomes
 
 
+def _random_ensemble(rng, space, n_classes, trees_per_class):
+    """An ensemble of random trees whose leaf scores are 0 to 2, so that
+    class scores often tie."""
+    return validated(AdditiveEnsemble(
+        space, tuple(f"c{i}" for i in range(n_classes)),
+        tuple(tuple(random_tree(rng, space, 3).tree
+                    for _ in range(trees_per_class))
+              for _ in range(n_classes)),
+        scale=1))
+
+
+def test_ensemble_deletion_loop_matches_reaches_loop():
+    # an ensemble's probe searches only the completions that move its
+    # feature off the instance's value; it must give the AXp, or the None,
+    # and the query count of the plain loop, also when a candidate repeats
+    rng = random.Random(43)
+    models = []
+    for _ in range(30):
+        space = random_space(rng, rng.randint(2, 5), (2, 4))
+        models.append(_random_ensemble(rng, space, rng.randint(2, 3),
+                                       rng.randint(1, 3)))
+    for seed in range(30):
+        # score ranges of 1 and 2 make class scores tie often
+        models.append(synthetic_ensemble(
+            seed=seed, n_features=rng.randint(3, 6),
+            trees_per_class=rng.randint(1, 3), depth=3,
+            n_classes=2 + seed % 2, score_range=1 + seed // 2 % 2))
+    outcomes = {"axp": 0, "kept after a drop": 0, "not sufficient": 0,
+                "repeated": 0}
+    for model in models:
+        n = model.space.n_features
+        for _ in range(4):
+            instance = random_instance(rng, model.space)
+            predicted = raw_predict(model, instance.values)
+            others = sorted(set(range(model.n_classes)) - {predicted})
+            chosen = rng.sample(others, rng.randint(1, len(others)))
+            for targets in (others, chosen):
+                order = list(range(n))
+                rng.shuffle(order)
+                subset = set(rng.sample(range(n), rng.randint(1, n)))
+                repeated = [f for f in order if f in subset]
+                repeated.insert(rng.randint(0, len(repeated)), rng.choice(repeated))
+                for probed in (order, [], [f for f in order if f in subset],
+                               repeated):
+                    problem = problem_for(model, instance, targets=targets)
+                    oracle = Oracle(model)
+                    expected = _reference_axp(oracle, instance, problem.targets,
+                                              probed)
+                    before = problem.oracle.stats.entailment_calls
+                    kept = problem.oracle.minimal_sufficient(instance, probed,
+                                                             problem.targets)
+                    assert kept == expected
+                    assert (problem.oracle.stats.entailment_calls - before
+                            == oracle.stats.entailment_calls)
+                    if expected is None:
+                        outcomes["not sufficient"] += 1
+                        continue
+                    outcomes["axp"] += 1
+                    if any(f not in expected and g in expected
+                           for f, g in itertools.combinations(probed, 2)):
+                        outcomes["kept after a drop"] += 1
+                    if probed is repeated:
+                        outcomes["repeated"] += 1
+    assert min(outcomes.values()) > 200, outcomes
+
+
 def _reference_grow(oracle, instance, kept, order, targets, witness):
     """The grow loop as a plain loop of searches, and the number of searches
     it made: a feature joins when the current witness agrees with the
@@ -498,3 +565,66 @@ def test_maximal_reaching_matches_grow_loop():
     # trying the instance's own branch first saves searches over the corpus
     assert tree_searches["oracle"] < tree_searches["reference"], tree_searches
     assert min(outcomes.values()) > 80, outcomes
+
+
+def test_ensemble_loops_raise_where_the_plain_loops_raise():
+    # each probe of the deletion loop is checked against the completions of
+    # the kept set without its feature, though it searches only those that
+    # move the feature; both loops must raise SearchSpaceExceeded at the
+    # query where the loops of plain `reaches` and `find_counterexample`
+    # queries raise, and count the same queries up to it
+    rng = random.Random(47)
+    space = FeatureSpace(("a", "b", "c", "d", "e"),
+                         (("0", "1"), ("0", "1", "2"), ("0",),
+                          ("0", "1", "2", "3"), ("0", "1")))
+    models = [_random_ensemble(rng, space, 2 + i % 2, 2) for i in range(6)]
+    n = space.n_features
+    raised = {"axp": 0, "grow": 0}
+    answered = {"axp": 0, "grow": 0}
+
+    def outcome(query, oracle, kind):
+        try:
+            answer = query()
+        except SearchSpaceExceeded:
+            raised[kind] += 1
+            answer = "raised"
+        else:
+            answered[kind] += 1
+        return answer, oracle.stats.entailment_calls, oracle.stats.witness_calls
+
+    for model in models:
+        for _ in range(5):
+            instance = random_instance(rng, space)
+            predicted = raw_predict(model, instance.values)
+            targets = frozenset(range(model.n_classes)) - {predicted}
+            order = list(range(n))
+            rng.shuffle(order)
+            repeated = order + [3, rng.randrange(n)]
+            witness = Oracle(model).find_counterexample(instance, (), targets)
+            seeds = [(set(), None), ({0, 2}, None)]
+            if witness is not None:
+                seeds.append(({f for f in range(n)
+                               if witness.values[f] == instance.values[f]},
+                              witness))
+            for cap in range(1, 50):
+                for probed in (order, repeated):
+                    plain, loop = (Oracle(model, completion_cap=cap)
+                                   for _ in range(2))
+                    assert outcome(
+                        lambda: _reference_axp(plain, instance, targets, probed),
+                        plain, "axp") == outcome(
+                        lambda: loop.minimal_sufficient(instance, probed, targets),
+                        loop, "axp")
+                for kept, seed_witness in seeds:
+                    plain, loop = (Oracle(model, completion_cap=cap)
+                                   for _ in range(2))
+                    reference = outcome(
+                        lambda: _reference_grow(plain, instance, kept, order,
+                                                targets, seed_witness)[0],
+                        plain, "grow")
+                    assert reference == outcome(
+                        lambda: loop.maximal_reaching(instance, kept, order,
+                                                      targets, seed_witness),
+                        loop, "grow")
+    assert min(raised.values()) > 1000 and min(answered.values()) > 1000, (
+        raised, answered)
