@@ -12,7 +12,11 @@ quartiles, the change of the median, in how many pairs the change was the
 better one, whether the medians differ by more than the distance between
 the parent's quartiles, and whether the change's median is worse than the
 parent's by more than the metric's `bound` (a share of the parent's median).
-Progress goes to standard error.  A run that exits non-zero, reports wrong
+A last row, `attempted`, gives each side's median number of queries
+attempted, counted as higher is better and with no bound.  A run lasts as
+long on both sides, so a faster change attempts more queries, and a metric
+that grows with the instances a run completes, such as `peak_rss_mb`, can
+be read against it.  Progress goes to standard error.  A run that exits non-zero, reports wrong
 answers (`correct` false) or has failed queries stops the script with a
 non-zero exit before any table is printed.
 """
@@ -50,7 +54,9 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         sys.exit(f"ab_pairs: {checkout} seed {seed}: exit {proc.returncode}, "
                  f"correct {summary['correct']}, failed {summary['failed']}\n"
                  f"{proc.stderr}")
-    return {m: v["value"] for m, v in summary["metrics"].items()}
+    values = {m: v["value"] for m, v in summary["metrics"].items()}
+    values["attempted"] = summary["attempted"]
+    return values
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,7 +91,8 @@ def main(argv=None) -> int:
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
           "| change | change wins | beyond parent IQR | worse beyond bound |")
     print("|---|---|---|---|---|---|---|---|")
-    for metric in spec["end_to_end"]:
+    attempted = {"name": "attempted", "better": "higher", "bound": None}
+    for metric in spec["end_to_end"] + [attempted]:
         name = metric["name"]
         parent = [r[name] for r in runs["parent"]]
         change = [r[name] for r in runs["change"]]
@@ -96,7 +103,10 @@ def main(argv=None) -> int:
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
         worse_by = (cm - pm) if lower else (pm - cm)
-        regressed = "yes" if worse_by > metric["bound"] * abs(pm) else "no"
+        if metric["bound"] is None:
+            regressed = "n/a"
+        else:
+            regressed = "yes" if worse_by > metric["bound"] * abs(pm) else "no"
         print(f"| {args.workload} | {name} | {fmt(pm)} [{fmt(p1)}, {fmt(p3)}] "
               f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} "
               f"| {regressed} |")

@@ -1,9 +1,12 @@
 """Domain types: categorical feature spaces, literals, instances and tree classifiers.
 
 All types are frozen dataclasses and safe to share across workers once validated.
-Trees are built and validated as `Leaf`/`Split` node objects; every walk reads
-the flat arrays of `TreeStructure.arrays` instead, compiled lazily on first use
-and cached on the tree object, so every oracle over one classifier shares them.
+Trees are built and validated as `Leaf`/`Split` node objects.  A decision
+tree's walks read the flat arrays of `TreeStructure.arrays` instead, compiled
+lazily on first use and cached on the tree object, so every oracle over one
+classifier shares them.  An ensemble's predictions walk linked nodes,
+`AdditiveEnsemble.linked_trees`, built from those arrays on the first
+prediction and cached on the ensemble in the same way.
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
 `Leaf` and `Split` use slots, since a large tree holds tens of thousands of
@@ -204,13 +207,36 @@ class AdditiveEnsemble:
         return len(self.classes)
 
     @functools.cached_property
-    def class_arrays(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per class, per tree: its `TreeStructure.arrays` followed by its
-        root, as (feature, children, value, root)."""
-        return tuple(
-            tuple((*tree.arrays, tree.root) for tree in group)
-            for group in self.trees
-        )
+    def linked_trees(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per class, the root of each tree as a linked node, built on the
+        first prediction and kept.  A split is (feature, tuple of its child
+        nodes by value) and a leaf is (-1, score), so a walk from a root is
+        `while f >= 0: f, x = x[values[f]]`, one unpack per step."""
+        return tuple(tuple(map(_linked_root, group)) for group in self.trees)
+
+
+def _linked_root(tree: TreeStructure) -> tuple:
+    """`tree`'s root as a linked node, built bottom-up from its arrays with
+    one linked node per node id, so shared children stay shared.  The stack
+    holds (node id, ready): a split is linked once its children are, and no
+    recursion limits the depth."""
+    feature, children, value = tree.arrays
+    linked: list[Optional[tuple]] = [None] * len(feature)
+    stack = [(tree.root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if linked[node] is not None:
+            continue
+        f = feature[node]
+        if f < 0:
+            linked[node] = (-1, value[node])
+        elif ready:
+            linked[node] = (f, tuple([linked[kid] for kid in children[node]]))
+        else:
+            stack.append((node, True))
+            stack.extend([(kid, False) for kid in children[node]
+                          if linked[kid] is None])
+    return linked[tree.root]
 
 
 Classifier = Union[DecisionTree, AdditiveEnsemble]

@@ -16,9 +16,12 @@ features are dropped or fixed.  A deletion probe of feature f searches only
 the completions that move f off its instance value, because those that keep
 it were refuted under the last kept set; it is still capped as the whole
 kept set without f.
-Every walk, predictions and path searches alike, reads the flat node arrays
-that each tree compiles once (`TreeStructure.arrays`,
-`AdditiveEnsemble.class_arrays`).
+On a decision tree every walk, predictions and path searches alike, reads
+the flat node arrays that each tree compiles once (`TreeStructure.arrays`),
+since its searches need node ids.  An ensemble prediction walks linked nodes
+instead (`AdditiveEnsemble.linked_trees`, built from those arrays on the
+first prediction): a split is (feature, child nodes) and a leaf (-1, score),
+so each step is one subscript by value and one unpack.
 Every public query bumps the per-session OracleStats exactly once, except
 `minimal_sufficient` and `maximal_reaching`, which count the queries of the
 deletion and grow loops they stand for.
@@ -85,14 +88,13 @@ def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
             f = feature[node]
         return value[node]
     scores = []
-    for group in classifier.class_arrays:
+    for group in classifier.linked_trees:
         score = 0
-        for feature, children, value, node in group:
-            f = feature[node]
+        for f, x in group:
+            # x is a split's child nodes, then the leaf's score once f < 0
             while f >= 0:
-                node = children[node][values[f]]
-                f = feature[node]
-            score += value[node]
+                f, x = x[values[f]]
+            score += x
         scores.append(score)
     # ties go to the lowest class index
     return scores.index(max(scores))
@@ -327,9 +329,10 @@ class Oracle:
     One Oracle per explanation session: the stats object and the prediction
     cache are its only mutable state.  The cache is keyed on full value
     tuples and is exact, so sharing it within a session is safe.  The
-    classifier stays immutable and safe to share: the node arrays every
-    walk reads are compiled on its first query and cached on the classifier,
-    so all oracles over one classifier object share them.
+    classifier stays immutable and safe to share: the node arrays of a
+    tree's walks and the linked nodes of an ensemble's predictions are
+    built on its first query and cached on the classifier, so all oracles
+    over one classifier object share them.
     """
 
     def __init__(self, classifier: Classifier,

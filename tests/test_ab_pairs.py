@@ -1,0 +1,102 @@
+"""scripts/ab_pairs.py on two stub checkouts whose perfbench/run.py prints a
+fixed summary per seed, so no benchmark runs."""
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in SPEC["end_to_end"]]
+
+STUB = '''import json, sys
+from pathlib import Path
+here = Path(__file__).resolve().parent.parent
+seed = sys.argv[sys.argv.index("--seed") + 1]
+with open(here.parent / "order.log", "a") as log:
+    log.write(f"{here.name} {seed}\\n")
+print("a progress line before the summary")
+print(json.dumps(json.loads((here / "summaries.json").read_text())[seed]))
+'''
+
+
+def _load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _checkout(tmp_path, side, summaries):
+    """A stub checkout: BENCHMARK.json and a run.py printing `summaries[seed]`."""
+    root = tmp_path / side
+    (root / "perfbench").mkdir(parents=True)
+    shutil.copy(ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+    (root / "perfbench" / "run.py").write_text(STUB)
+    (root / "summaries.json").write_text(json.dumps(summaries))
+    return root
+
+
+def _summary(value, attempted, correct=True, failed=0, **values):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {m: {"value": values.get(m, value), "unit": "x"}
+                        for m in METRICS}}
+
+
+def _rows(out):
+    """Table rows by metric name, as lists of their cells after the name."""
+    rows = {}
+    for line in out.splitlines()[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[cells[1]] = cells[2:]
+    return rows
+
+
+def test_medians_wins_and_attempted_row(tmp_path, capsys):
+    ab_pairs = _load_ab_pairs()
+    parent = _checkout(tmp_path, "parent", {
+        str(seed): _summary(10.0, 100) for seed in (1, 2, 3)})
+    change = _checkout(tmp_path, "change", {
+        "1": _summary(8.0, 120, peak_rss_mb=12.0),
+        "2": _summary(9.0, 90, peak_rss_mb=12.0),
+        "3": _summary(12.0, 130, peak_rss_mb=12.0),
+    })
+    assert ab_pairs.main([str(parent), str(change), "--workload", "w",
+                          "--seeds", "1-3"]) == 0
+    out = capsys.readouterr().out
+    rows = _rows(out)
+    assert list(rows) == METRICS + ["attempted"]
+    assert all(line.startswith("| w |") for line in out.splitlines()[2:])
+    better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    for name in METRICS:
+        if name == "peak_rss_mb":
+            # 12 against 10 is worse by more than its bound of 10%
+            assert rows[name] == ["10 [10, 10]", "12 [12, 12]", "+20.0%", "0/3",
+                                  "yes", "yes"]
+        else:
+            # 8, 9 and 12 against 10: the lower the better wins two pairs
+            wins = "2/3" if better[name] == "lower" else "1/3"
+            assert rows[name] == ["10 [10, 10]", "9 [8.5, 10.5]", "-10.0%", wins,
+                                  "yes", "no"]
+    assert rows["attempted"] == ["100 [100, 100]", "120 [105, 125]", "+20.0%",
+                                 "2/3", "yes", "n/a"]
+    # the side that runs first alternates from one seed to the next
+    assert (tmp_path / "order.log").read_text().split("\n") == [
+        "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3", ""]
+
+
+@pytest.mark.parametrize("bad", [{"correct": False}, {"failed": 2}])
+def test_a_wrong_or_failing_run_stops_before_any_table(tmp_path, capsys, bad):
+    ab_pairs = _load_ab_pairs()
+    parent = _checkout(tmp_path, "parent", {
+        str(seed): _summary(10.0, 100) for seed in (1, 2)})
+    change = _checkout(tmp_path, "change", {
+        "1": _summary(8.0, 120), "2": _summary(8.0, 120, **bad)})
+    with pytest.raises(SystemExit) as stopped:
+        ab_pairs.main([str(parent), str(change), "--workload", "w",
+                       "--seeds", "1,2"])
+    assert stopped.value.code not in (0, None)
+    assert "seed 2" in str(stopped.value.code)
+    assert capsys.readouterr().out == ""

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import (A, L, READS, SKIPS, T, W, random_shared_tree,
                       shared_chain, shared_children_tree)
+from dualxp.explain import extract_axp, extract_cxp, make_problem
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, ModelError, Split, TreeStructure,
                           validated)
@@ -342,3 +344,97 @@ def test_disagreement_walk_matches_naive_reference():
                     found = _tree_disagreement_sets(model.tree, values, targets)
                     assert len(set(found)) == len(found)
                     assert set(found) == _naive_disagreement_sets(model.tree, values, targets)
+
+
+def _shared_ensemble(rng, n_features, trees_per_class, n_classes):
+    """A random ensemble whose regressor trees share children, over domains
+    of 2 to 4 values, with leaf scores 0 to 2 so that class scores often
+    tie."""
+    space = random_space(rng, n_features, (2, 4))
+    return validated(AdditiveEnsemble(
+        space, tuple(f"c{i}" for i in range(n_classes)),
+        tuple(tuple(random_shared_tree(rng, space, 3, rng.randint(1, 12)).tree
+                    for _ in range(trees_per_class))
+              for _ in range(n_classes)),
+        scale=1,
+    ))
+
+
+def _count_linked_nodes(root):
+    """The number of distinct linked node objects reachable from `root`."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        f, x = stack.pop()
+        if f >= 0:
+            for kid in x:
+                if id(kid) not in seen:
+                    seen.add(id(kid))
+                    stack.append(kid)
+    return len(seen)
+
+
+def test_linked_ensemble_walk_matches_node_walk():
+    # every point of each space, on trees that share children
+    rng = random.Random(19)
+    models = [synthetic_ensemble(n_features=6, trees_per_class=3)]
+    for n_classes in (2, 3):
+        for _ in range(12):
+            models.append(_shared_ensemble(rng, rng.randint(2, 4),
+                                           rng.randint(1, 4), n_classes))
+    ties = 0
+    for model in models:
+        assert "linked_trees" not in model.__dict__  # nothing built before a prediction
+        first, second = Oracle(model), Oracle(model)
+        domains = [range(model.space.domain_size(f))
+                   for f in range(model.space.n_features)]
+        for i, values in enumerate(itertools.product(*domains)):
+            expected = _reference_predict(model, values)
+            assert raw_predict(model, values) == expected
+            if i == 0:
+                linked = model.linked_trees
+            assert (first if i % 2 else second).predict(Instance(values)) == expected
+            scores = [sum(_node_walk(t, values) for t in group)
+                      for group in model.trees]
+            ties += scores.count(max(scores)) > 1
+        # one linked form per ensemble, shared by both oracles, and one
+        # linked node at most per node id, so shared children stay shared
+        assert model.linked_trees is linked
+        for group, roots in zip(model.trees, linked):
+            for tree, root in zip(group, roots):
+                assert _count_linked_nodes(root) <= len(tree.nodes)
+    assert ties > 0
+
+
+def test_linked_walk_of_deep_chains():
+    # 16 binary splits with both children on the next one: 2^15 paths
+    # through 18 nodes, where an unshared linked form has 2^17 - 1 nodes
+    rng = random.Random(23)
+    binary = shared_chain(16)
+    shared = validated(AdditiveEnsemble(
+        binary.space, ("c0", "c1"),
+        ((binary.tree,), (TreeStructure((Leaf(1),), 0),)), scale=1))
+    for _ in range(8):
+        point = random_instance(rng, shared.space)
+        assert raw_predict(shared, point.values) == _reference_predict(shared, point.values)
+    assert _count_linked_nodes(shared.linked_trees[0][0]) == 18
+
+    # 3,000 splits on one-value features, then one split on x: class 0
+    # scores 0 at x=a and 1 at x=b, class 1 always 1, ties to class 0
+    depth = 3000
+    space = FeatureSpace(tuple(f"f{i}" for i in range(depth)) + ("x",),
+                         (("a",),) * depth + (("a", "b"),))
+    nodes = [Split(i, (i + 1,)) for i in range(depth)]
+    nodes += [Split(depth, (depth + 1, depth + 2)), Leaf(0), Leaf(1)]
+    chain = validated(AdditiveEnsemble(
+        space, ("c0", "c1"),
+        ((TreeStructure(tuple(nodes), 0),), (TreeStructure((Leaf(1),), 0),)),
+        scale=1))
+    for x in (0, 1):
+        values = (0,) * depth + (x,)
+        assert raw_predict(chain, values) == _reference_predict(chain, values) == 1 - x
+    problem = make_problem(Oracle(chain), Instance((0,) * (depth + 1)))
+    assert extract_axp(problem).features == {depth}
+    assert extract_cxp(problem).features == {depth}
+    del shared, chain, problem
+    gc.collect()
