@@ -12,6 +12,10 @@ quartiles, the change of the median, in how many pairs the change was the
 better one, whether the medians differ by more than the distance between
 the parent's quartiles, and whether the change's median is worse than the
 parent's by more than the metric's `bound` (a share of the parent's median).
+That last column reads `unresolved` instead of `no` when the parent's
+quartiles lie further apart than the bound, so the runs cannot show a
+change of that size, unless every run of the change is better than every
+run of the parent.
 A last row, `attempted`, gives each side's median number of queries
 attempted, counted as higher is better and with no bound.  A run lasts as
 long on both sides, so a faster change attempts more queries, and a metric
@@ -103,10 +107,16 @@ def main(argv=None) -> int:
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
         worse_by = (cm - pm) if lower else (pm - cm)
-        if metric["bound"] is None:
+        bound = None if metric["bound"] is None else metric["bound"] * abs(pm)
+        all_better = (max(change) < min(parent)) if lower else (min(change) > max(parent))
+        if bound is None:
             regressed = "n/a"
+        elif worse_by > bound:
+            regressed = "yes"
+        elif p3 - p1 > bound and not all_better:
+            regressed = "unresolved"
         else:
-            regressed = "yes" if worse_by > metric["bound"] * abs(pm) else "no"
+            regressed = "no"
         print(f"| {args.workload} | {name} | {fmt(pm)} [{fmt(p1)}, {fmt(p3)}] "
               f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} "
               f"| {regressed} |")

@@ -5,7 +5,8 @@ validation error or a file that cannot be read or written, 4 budget
 exceeded, 5 internal error (the traceback goes to standard error), 141
 standard output closed by its reader (no message).
 The XDUAL_BUDGET environment variable overrides both the ensemble
-completion cap and the hitting-set node budget.
+completion cap (the completions one ensemble search visits) and the
+hitting-set node budget.
 """
 from __future__ import annotations
 
@@ -37,9 +38,10 @@ EXIT_PIPE_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a program the signal
 
 
 def _budgets() -> tuple[int, int]:
-    """The ensemble completion cap and the hitting-set node budget:
-    XDUAL_BUDGET for both when set, else their defaults.  Each command reads
-    it once, so a bad value fails even when there is no row to explain."""
+    """The ensemble completion cap (the completions one ensemble search
+    visits) and the hitting-set node budget: XDUAL_BUDGET for both when
+    set, else their defaults.  Each command reads it once, so a bad value
+    fails even when there is no row to explain."""
     raw = os.environ.get("XDUAL_BUDGET")
     if raw is None:
         return DEFAULT_COMPLETION_CAP, DEFAULT_NODE_BUDGET

@@ -5,8 +5,9 @@ Trees are built and validated as `Leaf`/`Split` node objects.  A decision
 tree's walks read the flat arrays of `TreeStructure.arrays` instead, compiled
 lazily on first use and cached on the tree object, so every oracle over one
 classifier shares them.  An ensemble's predictions walk linked nodes,
-`AdditiveEnsemble.linked_trees`, built from those arrays on the first
-prediction and cached on the ensemble in the same way.
+`AdditiveEnsemble.linked_trees`, built straight from its trees' node objects
+on the first prediction and cached on the ensemble in the same way; an
+ensemble's trees never compile arrays.
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
 `Leaf` and `Split` use slots, since a large tree holds tens of thousands of
@@ -18,10 +19,9 @@ its position in `TreeStructure.nodes`, never the identity of its object.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
-
-MAX_SPACE_SIZE = 2 ** 62
 
 
 class ModelError(Exception):
@@ -52,15 +52,11 @@ class FeatureSpace:
             raise ModelError("feature names and domains differ in length")
         if len(set(self.names)) != len(self.names):
             raise ModelError("duplicate feature names")
-        size = 1
         for name, dom in zip(self.names, self.domains):
             if not dom:
                 raise ModelError(f"feature '{name}' has an empty domain")
             if len(set(dom)) != len(dom):
                 raise ModelError(f"feature '{name}' has duplicate category names")
-            size *= len(dom)
-            if size > MAX_SPACE_SIZE:
-                raise ModelError(f"instance space larger than 2^62")
 
     @property
     def n_features(self) -> int:
@@ -84,14 +80,17 @@ class FeatureSpace:
     def check_instance(self, instance: "Instance") -> None:
         """Raise ModelError unless `instance` has one in-domain value per
         feature.  The walks index children by value and trust it, so every
-        entry point that takes an instance from a caller checks it here."""
-        if len(instance.values) != len(self.domains):
-            raise ModelError(f"instance has {len(instance.values)} values, "
+        entry point that takes an instance from a caller checks it here.
+        Each oracle query does, so the common case is one `map` in C."""
+        values = instance.values
+        if len(values) != len(self.domains):
+            raise ModelError(f"instance has {len(values)} values, "
                              f"the model has {len(self.domains)} features")
-        for f, v in enumerate(instance.values):
-            if not 0 <= v < len(self.domains[f]):
-                raise ModelError(f"value {v} is outside the domain of feature "
-                                 f"'{self.names[f]}'")
+        ranges = self.value_ranges
+        if not all(map(operator.contains, ranges, values)):
+            f = next(f for f, v in enumerate(values) if v not in ranges[f])
+            raise ModelError(f"value {values[f]} is outside the domain of "
+                             f"feature '{self.names[f]}'")
 
     def value_index(self, feature: int, category: str) -> int:
         try:
@@ -169,7 +168,8 @@ class TreeStructure:
     def arrays(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
                               tuple[int, ...]]:
         """Per node id: its split feature (-1 for a leaf), its children (empty
-        for a leaf) and its leaf value (0 for a split)."""
+        for a leaf) and its leaf value (0 for a split).  Only a decision
+        tree's walks read them; an ensemble links its trees from `nodes`."""
         return (
             tuple(-1 if isinstance(n, Leaf) else n.feature for n in self.nodes),
             tuple(() if isinstance(n, Leaf) else n.children for n in self.nodes),
@@ -216,25 +216,26 @@ class AdditiveEnsemble:
 
 
 def _linked_root(tree: TreeStructure) -> tuple:
-    """`tree`'s root as a linked node, built bottom-up from its arrays with
-    one linked node per node id, so shared children stay shared.  The stack
-    holds (node id, ready): a split is linked once its children are, and no
-    recursion limits the depth."""
-    feature, children, value = tree.arrays
-    linked: list[Optional[tuple]] = [None] * len(feature)
+    """`tree`'s root as a linked node, built bottom-up from its node objects
+    with one linked node per node id, so shared children stay shared.  The
+    stack holds (node id, ready): a split is linked once its children are,
+    and no recursion limits the depth."""
+    nodes = tree.nodes
+    linked: list[Optional[tuple]] = [None] * len(nodes)
     stack = [(tree.root, False)]
     while stack:
-        node, ready = stack.pop()
-        if linked[node] is not None:
+        node_id, ready = stack.pop()
+        if linked[node_id] is not None:
             continue
-        f = feature[node]
-        if f < 0:
-            linked[node] = (-1, value[node])
+        node = nodes[node_id]
+        if isinstance(node, Leaf):
+            linked[node_id] = (-1, node.value)
         elif ready:
-            linked[node] = (f, tuple([linked[kid] for kid in children[node]]))
+            linked[node_id] = (node.feature,
+                               tuple([linked[kid] for kid in node.children]))
         else:
-            stack.append((node, True))
-            stack.extend([(kid, False) for kid in children[node]
+            stack.append((node_id, True))
+            stack.extend([(kid, False) for kid in node.children
                           if linked[kid] is None])
     return linked[tree.root]
 

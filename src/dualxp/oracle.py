@@ -9,19 +9,21 @@ last path found.  Additive ensembles are answered by one completion loop,
 ranges (a free feature's domain, kept once on the `FeatureSpace`, or a kept
 feature's instance value), which yields full value tuples in lexicographic
 order.  Each completion not yet in the prediction cache is scored by
-`raw_predict`.  Every query's number of completions, the product of its
-range lengths, is checked against the completion cap before its search.
+`raw_predict`.  The completion cap bounds the completions one search
+visits: the loop raises SearchSpaceExceeded once it has visited that many
+with no target and more to go, so a search whose first target comes early
+answers however large its product is, and a search that refutes pays up
+to the cap before it raises.
 The deletion and grow loops keep one ranges list and update it in place as
 features are dropped or fixed.  A deletion probe of feature f searches only
 the completions that move f off its instance value, because those that keep
-it were refuted under the last kept set; it is still capped as the whole
-kept set without f.
+it were refuted under the last kept set.
 On a decision tree every walk, predictions and path searches alike, reads
 the flat node arrays that each tree compiles once (`TreeStructure.arrays`),
 since its searches need node ids.  An ensemble prediction walks linked nodes
-instead (`AdditiveEnsemble.linked_trees`, built from those arrays on the
-first prediction): a split is (feature, child nodes) and a leaf (-1, score),
-so each step is one subscript by value and one unpack.
+instead (`AdditiveEnsemble.linked_trees`, built from the tree's node objects
+on the first prediction): a split is (feature, child nodes) and a leaf
+(-1, score), so each step is one subscript by value and one unpack.
 Every public query bumps the per-session OracleStats exactly once, except
 `minimal_sufficient` and `maximal_reaching`, which count the queries of the
 deletion and grow loops they stand for.
@@ -43,7 +45,6 @@ of an instance in one walk of the same arrays.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
@@ -61,7 +62,8 @@ DEFAULT_COMPLETION_CAP = 2 ** 20
 
 
 class SearchSpaceExceeded(ModelError):
-    """The free-feature product of an ensemble query exceeds the cap."""
+    """One ensemble search visited the completion cap's number of
+    completions, found no target among them, and had more to visit."""
 
 
 @dataclass
@@ -98,6 +100,12 @@ def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
         scores.append(score)
     # ties go to the lowest class index
     return scores.index(max(scores))
+
+
+def _kept_values(values: Sequence[int],
+                 kept: AbstractSet[int]) -> list[Optional[int]]:
+    """`values` with every feature outside `kept` set to None."""
+    return [v if f in kept else None for f, v in enumerate(values)]
 
 
 def _tree_path(tree: TreeStructure, values: list[Optional[int]],
@@ -162,8 +170,7 @@ def _tree_maximal_reaching(tree: TreeStructure, values: tuple[int, ...],
     at every free split, so the path leaves out the features on which the
     witness agrees with the instance, and more features join with no search.
     """
-    fixed: list[Optional[int]] = [v if f in kept else None
-                                  for f, v in enumerate(values)]
+    fixed = _kept_values(values, kept)
     if witness is None:
         path = _tree_path(tree, fixed, targets, values)
         if path is None:
@@ -205,8 +212,7 @@ def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
     """
     feature, children, value = tree.arrays
     kept = set(candidates)
-    fixed: list[Optional[int]] = [v if f in kept else None
-                                  for f, v in enumerate(values)]
+    fixed = _kept_values(values, kept)
     region: set[int] = set()
     splits: dict[int, list[int]] = {f: [] for f in kept}
 
@@ -307,24 +313,22 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
             for mask in found]
 
 
-def _kept_values(instance: Instance,
-                 kept: AbstractSet[int]) -> list[Optional[int]]:
-    """The instance's values with every feature outside `kept` set to None."""
-    return [v if f in kept else None for f, v in enumerate(instance.values)]
-
-
 class Oracle:
     """Stateful query interface over an immutable classifier.
 
     `entails`, `reaches` and `find_counterexample` take an instance and the
     set of its features kept at their instance values; every other feature
-    is free.
+    is free.  Every query checks its instance as `predict` does.
     On a decision tree each is one iterative path search, plus one more per
     value tried below the last path's branch when building the
     lexicographically first counterexample.  `minimal_sufficient` runs a
     whole AXp deletion loop, on a tree as one region walk, and
     `maximal_reaching` a whole CXp grow loop, on a tree as one path search
     per feature the last witness disagrees on.
+
+    An ensemble search raises SearchSpaceExceeded once it has visited
+    `completion_cap` completions with no target and more to go; a tree's
+    searches are not capped.
 
     One Oracle per explanation session: the stats object and the prediction
     cache are its only mutable state.  The cache is keyed on full value
@@ -354,7 +358,11 @@ class Oracle:
         """Class index of `instance`; ModelError if it does not fit the model."""
         self.space.check_instance(instance)
         self.stats.predict_calls += 1
-        return self._predict(instance.values)
+        values = instance.values
+        cached = self._cache.get(values)
+        if cached is None:
+            cached = self._cache[values] = raw_predict(self.classifier, values)
+        return cached
 
     def entails(self, instance: Instance, kept: AbstractSet[int],
                 target_class: int) -> bool:
@@ -368,13 +376,13 @@ class Oracle:
         """True iff some completion of the `kept` features of `instance`
         predicts into `targets`.  It builds no completion, and it counts as
         an entailment query."""
+        self.space.check_instance(instance)
         self.stats.entailment_calls += 1
         if isinstance(self.classifier, DecisionTree):
-            return _tree_path(self.classifier.tree, _kept_values(instance, kept),
+            return _tree_path(self.classifier.tree,
+                              _kept_values(instance.values, kept),
                               targets) is not None
-        ranges = self._ranges(instance, kept)
-        self._capped(math.prod(map(len, ranges)))
-        return self._first_target(ranges, targets) is not None
+        return self._first_target(self._ranges(instance, kept), targets) is not None
 
     def minimal_sufficient(self, instance: Instance, candidates: Sequence[int],
                            targets: frozenset[int]) -> Optional[frozenset[int]]:
@@ -384,13 +392,17 @@ class Oracle:
         stays is a subset-minimal set whose completions all miss them.
 
         It counts one entailment query for the check of all candidates and
-        one per candidate probed, as the same loop over `reaches` would, and
-        raises SearchSpaceExceeded at the same query.  On a decision tree it
-        is one growing region walk (`_tree_minimal_sufficient`).  On an
-        ensemble the probe of f searches only the completions with f off its
-        instance value, since those with f at it were just refuted; a
-        repeated candidate, already dropped, needs no search.
+        one per candidate probed, as the same loop over `reaches` would.  On
+        a decision tree it is one growing region walk
+        (`_tree_minimal_sufficient`).  On an ensemble the probe of f searches
+        only the completions with f off its instance value, since those with
+        f at it were just refuted, so it visits no more completions than
+        `reaches` on the kept set without f would, and raises
+        SearchSpaceExceeded only where that loop would; a repeated
+        candidate, already dropped, needs no search.
         ModelError if a candidate is not a feature index."""
+        self.space.check_instance(instance)
+        candidates = tuple(candidates)
         features = range(self.space.n_features)
         if bad := [f for f in candidates if f not in features]:
             raise ModelError(f"candidates {bad} are not feature indices")
@@ -402,7 +414,6 @@ class Oracle:
         kept = set(candidates)
         self.stats.entailment_calls += 1
         ranges = self._ranges(instance, kept)
-        size = self._capped(math.prod(map(len, ranges)))
         if self._first_target(ranges, targets) is not None:
             return None
         domains = self.space.value_ranges
@@ -411,16 +422,12 @@ class Oracle:
             if f not in kept:
                 continue  # dropped by an earlier copy of it in `candidates`
             domain = domains[f]
-            # checked as the whole kept set without f, though the completions
-            # that keep f at its value were refuted and are not searched again
-            self._capped(size * len(domain))
             own = ranges[f]
             v = own[0]
             ranges[f] = domain[:v] + domain[v + 1:]
             if self._first_target(ranges, targets) is None:
                 kept.discard(f)
                 ranges[f] = domain
-                size *= len(domain)
             else:
                 ranges[f] = own
         return frozenset(kept)
@@ -445,6 +452,8 @@ class Oracle:
         on more features; an ensemble searches its completions in
         lexicographic order.  ModelError if a feature in `order` is not a
         feature index."""
+        self.space.check_instance(instance)
+        order = tuple(order)
         features = range(self.space.n_features)
         if bad := [f for f in order if f not in features]:
             raise ModelError(f"order {bad} are not feature indices")
@@ -457,10 +466,8 @@ class Oracle:
         tau = instance.values
         fixed = [f in kept for f in range(len(tau))]
         ranges = self._ranges(instance, kept)
-        size = math.prod(map(len, ranges))
         if witness is None:
             self.stats.witness_calls += 1
-            self._capped(size)
             witness = self._first_target(ranges, targets)
             if witness is None:
                 return None
@@ -473,16 +480,13 @@ class Oracle:
             fixed[f] = True
             v = tau[f]
             ranges[f] = (v,)
-            size //= len(domains[f])
             if witness[f] == v:
                 continue
             self.stats.witness_calls += 1
-            self._capped(size)
             found = self._first_target(ranges, targets)
             if found is None:
                 fixed[f] = False
                 ranges[f] = domains[f]
-                size *= len(domains[f])
             else:
                 witness = found
         return frozenset(f for f, k in enumerate(fixed) if k)
@@ -491,25 +495,17 @@ class Oracle:
                             targets: frozenset[int]) -> Optional[Instance]:
         """The lexicographically first completion of the `kept` features of
         `instance` that predicts into `targets`, or None if there is none."""
+        self.space.check_instance(instance)
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
         targets = frozenset(targets)
         if isinstance(self.classifier, DecisionTree):
-            return self._tree_completion(_kept_values(instance, kept), targets)
-        ranges = self._ranges(instance, kept)
-        self._capped(math.prod(map(len, ranges)))
-        found = self._first_target(ranges, targets)
+            return self._tree_completion(_kept_values(instance.values, kept), targets)
+        found = self._first_target(self._ranges(instance, kept), targets)
         return None if found is None else Instance(found)
 
     # internal machinery (not counted in stats)
-
-    def _predict(self, values: tuple[int, ...]) -> int:
-        cached = self._cache.get(values)
-        if cached is None:
-            cached = raw_predict(self.classifier, values)
-            self._cache[values] = cached
-        return cached
 
     def _tree_completion(self, values: list[Optional[int]],
                          targets: frozenset[int]) -> Optional[Instance]:
@@ -543,29 +539,26 @@ class Oracle:
         return [(v,) if f in kept else domains[f]
                 for f, v in enumerate(instance.values)]
 
-    def _capped(self, size: int) -> int:
-        """`size`, the number of completions a query stands for, unless it
-        exceeds the completion cap."""
-        if size > self.completion_cap:
-            raise SearchSpaceExceeded(
-                f"free-feature product exceeds the completion cap "
-                f"({self.completion_cap}); fix more features or use a "
-                f"smaller model"
-            )
-        return size
-
     def _first_target(self, ranges: Sequence[tuple[int, ...]],
                       targets: AbstractSet[int]) -> Optional[tuple[int, ...]]:
         """The first completion in `itertools.product(*ranges)`, which is
         lexicographic, that predicts into `targets`; None if there is none.
-        A completion not yet in the prediction cache is scored by
-        `raw_predict`, looked up in this module on every miss."""
+        SearchSpaceExceeded once it has visited `completion_cap` completions,
+        none of them a target, and the product has more.  A completion not
+        yet in the prediction cache is scored by `raw_predict`, looked up in
+        this module on every miss."""
         cache = self._cache
         classifier = self.classifier
-        for full in itertools.product(*ranges):
+        completions = itertools.product(*ranges)
+        for full in itertools.islice(completions, self.completion_cap):
             predicted = cache.get(full)
             if predicted is None:
                 predicted = cache[full] = raw_predict(classifier, full)
             if predicted in targets:
                 return full
-        return None
+        if next(completions, None) is None:
+            return None
+        raise SearchSpaceExceeded(
+            f"an ensemble search visited {self.completion_cap} completions, "
+            f"the completion cap, with no target; fix more features or use "
+            f"a smaller model")

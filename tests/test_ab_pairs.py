@@ -56,8 +56,12 @@ def _rows(out):
 
 def test_medians_wins_and_attempted_row(tmp_path, capsys):
     ab_pairs = _load_ab_pairs()
+    # setup_s and axp_ms_p50 spread wider than their bound at the parent
     parent = _checkout(tmp_path, "parent", {
-        str(seed): _summary(10.0, 100) for seed in (1, 2, 3)})
+        "1": _summary(10.0, 100, setup_s=6.0, axp_ms_p50=14.0),
+        "2": _summary(10.0, 100, setup_s=10.0, axp_ms_p50=20.0),
+        "3": _summary(10.0, 100, setup_s=14.0, axp_ms_p50=30.0),
+    })
     change = _checkout(tmp_path, "change", {
         "1": _summary(8.0, 120, peak_rss_mb=12.0),
         "2": _summary(9.0, 90, peak_rss_mb=12.0),
@@ -75,6 +79,15 @@ def test_medians_wins_and_attempted_row(tmp_path, capsys):
             # 12 against 10 is worse by more than its bound of 10%
             assert rows[name] == ["10 [10, 10]", "12 [12, 12]", "+20.0%", "0/3",
                                   "yes", "yes"]
+        elif name == "setup_s":
+            # 6, 10 and 14: quartiles 4 apart against a bound of 2.5, and
+            # the change is not better in every run, so no verdict
+            assert rows[name] == ["10 [8, 12]", "9 [8.5, 10.5]", "-10.0%", "2/3",
+                                  "no", "unresolved"]
+        elif name == "axp_ms_p50":
+            # 14, 20 and 30 spread as widely, but every change run is better
+            assert rows[name] == ["20 [17, 25]", "9 [8.5, 10.5]", "-55.0%", "3/3",
+                                  "yes", "no"]
         else:
             # 8, 9 and 12 against 10: the lower the better wins two pairs
             wins = "2/3" if better[name] == "lower" else "1/3"

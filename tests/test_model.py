@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
 from conftest import L, shared_chain
+from dualxp.dual import enumerate_all, verify_duality
+from dualxp.explain import (check_axp, check_cxp, cxp_witness, extract_axp,
+                            extract_cxp, make_problem)
 from dualxp.model import (
     DecisionTree,
     FeatureSpace,
@@ -13,6 +18,8 @@ from dualxp.model import (
     TreeStructure,
     validate,
 )
+from dualxp.oracle import Oracle
+from dualxp.synth import random_instance, random_space, random_tree
 
 
 def test_feature_space_basics(poole):
@@ -36,11 +43,23 @@ def test_feature_space_rejects_bad_shapes():
 
 
 def test_feature_space_size_cap():
-    # 63 four-valued features overflow the 2^62 cap
+    # no cap on the size of the instance space: no query's cost depends on
+    # it, so 4^63 instances are accepted, and a 100-feature tree, 2^100
+    # instances or more, is explained end to end
     names = tuple(f"f{i}" for i in range(63))
-    domains = tuple(("a", "b", "c", "d") for _ in range(63))
-    with pytest.raises(ModelError):
-        FeatureSpace(names, domains)
+    assert FeatureSpace(names, tuple(("a", "b", "c", "d") for _ in names))
+    rng = random.Random(3)
+    space = random_space(rng, 100, (2, 4))
+    tree = random_tree(rng, space, 3, max_depth=8)
+    for _ in range(3):
+        problem = make_problem(Oracle(tree), random_instance(rng, space))
+        axp, cxp = extract_axp(problem), extract_cxp(problem)
+        assert check_axp(problem, axp) == [] and check_cxp(problem, cxp) == []
+        assert cxp_witness(problem, cxp).witness_class in problem.targets
+        axps, cxps = enumerate_all(problem)
+        assert axp in axps and cxp in cxps
+        assert verify_duality([a.features for a in axps],
+                              [c.features for c in cxps]).ok
 
 
 def test_partial_assignment_consistency():

@@ -1,13 +1,14 @@
 import functools
 import gc
 import itertools
+import math
 import random
 
 import pytest
 
 from conftest import (A, L, READS, SKIPS, T, W, random_shared_tree,
                       shared_chain, shared_children_tree)
-from dualxp.explain import extract_axp, extract_cxp, make_problem
+from dualxp.explain import check_cxp, extract_axp, extract_cxp, make_problem
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, ModelError, Split, TreeStructure,
                           validated)
@@ -27,9 +28,51 @@ def test_predict_rejects_instances_that_do_not_fit(poole):
     # a negative value would index a child from the end, and a short
     # instance would end in an IndexError inside the walk
     oracle = Oracle(poole)
-    for values in ((0, 0, -1, 0), (0, 0, 2, 0), (0, 0), (0, 0, 0, 0, 0)):
+    for values in ((0, 0, -1, 0), (0, 0, 2, 0), (0, 0, 0.5, 0), (0, 0),
+                   (0, 0, 0, 0, 0)):
         with pytest.raises(ModelError):
             oracle.predict(Instance(values))
+
+
+_QUERIES = {
+    "reaches": lambda o, x: o.reaches(x, {0, 1}, frozenset({1})),
+    "entails": lambda o, x: o.entails(x, {0, 1}, 0),
+    "find_counterexample": lambda o, x: o.find_counterexample(x, {0, 1},
+                                                              frozenset({1})),
+    "minimal_sufficient": lambda o, x: o.minimal_sufficient(x, range(4),
+                                                            frozenset({1})),
+    "maximal_reaching": lambda o, x: o.maximal_reaching(x, (), range(4),
+                                                        frozenset({1})),
+}
+
+
+@pytest.mark.parametrize("query", list(_QUERIES))
+def test_queries_reject_instances_that_do_not_fit(poole, query):
+    # as `predict` does, on a tree and on an ensemble, before counting
+    ensemble = synthetic_ensemble(n_features=4, trees_per_class=2)
+    for model in (poole, ensemble):
+        oracle = Oracle(model)
+        for values in ((-1,) * 4, (0, 0, 2, 0), (0, 0), (0, 0, 0, 0, 0)):
+            with pytest.raises(ModelError):
+                _QUERIES[query](oracle, Instance(values))
+        assert oracle.stats.total_calls == 0
+
+
+def test_loops_read_their_features_once(poole):
+    # a generator of candidates or of the grow order serves as a list does
+    ensemble = synthetic_ensemble(n_features=6, trees_per_class=3)
+    for model in (poole, ensemble):
+        n = model.space.n_features
+        instance = Instance((0,) * n)
+        oracle = Oracle(model)
+        targets = frozenset(range(model.n_classes)) - {oracle.predict(instance)}
+        kept = oracle.minimal_sufficient(instance, (f for f in range(n)), targets)
+        assert kept == oracle.minimal_sufficient(instance, list(range(n)), targets)
+        if model is poole:
+            assert kept == {L}
+        grown = oracle.maximal_reaching(instance, (), (f for f in range(n)), targets)
+        assert grown == oracle.maximal_reaching(instance, (), list(range(n)), targets)
+        assert len(grown) > 0
 
 
 def test_predict_constant(constant_tree):
@@ -268,43 +311,114 @@ def test_compiled_walk_matches_node_walk(monkeypatch):
                 scores = [sum(_node_walk(t, point.values) for t in group)
                           for group in model.trees]
                 ties += scores.count(max(scores)) > 1
-        # compiled once per tree object, and shared by both oracles
-        assert sorted(map(id, built)) == sorted(map(id, trees))
+        # a decision tree compiles its arrays once, and both oracles share
+        # them; an ensemble links its trees from their nodes, compiling none
+        compiled = [model.tree] if isinstance(model, DecisionTree) else []
+        assert list(map(id, built)) == list(map(id, compiled))
         built.clear()
     assert ties > 0
 
 
 def test_ensemble_cap():
-    ensemble = synthetic_ensemble(n_features=10)
-    oracle = Oracle(ensemble, completion_cap=16)
-    with pytest.raises(SearchSpaceExceeded):
-        oracle.entails(Instance((0,) * 10), set(), 0)
-
-    # the cap bounds the product of the free features' domain sizes (2, 3,
-    # 1 and 4 here); a product equal to the cap is answered, and kept
-    # features count for nothing
-    rng = random.Random(5)
+    # the cap bounds the completions one search visits, in lexicographic
+    # order, not the size of its product.  Over features of 2, 3, 1 and 4
+    # values, class c1 wins only where d=3 (a tie goes to c0), so with
+    # every feature free the first c1 completion is the fourth of 24
     space = FeatureSpace(("a", "b", "c", "d"), (("0", "1"), ("0", "1", "2"),
                                                 ("0",), ("0", "1", "2", "3")))
-    mixed = validated(AdditiveEnsemble(
-        space, ("c0", "c1"),
-        tuple(tuple(random_tree(rng, space, 3).tree for _ in range(2))
-              for _ in range(2)),
-        scale=1))
-    point = Instance((1, 2, 0, 3))
-    both = frozenset({0, 1})
-    oracle = Oracle(mixed, completion_cap=8)
-    for kept in ({1}, {1, 2}, {0, 1, 2, 3}):  # free product 8, 8 and 1
-        assert oracle.reaches(point, kept, both)
-        assert oracle.find_counterexample(point, kept, both) is not None
-    too_many = r"free-feature product exceeds the completion cap \(8\)"
-    for kept in ({2}, set()):  # b freed as well: 24
+    c1 = TreeStructure((Split(3, (1, 1, 1, 2)), Leaf(0), Leaf(1)), 0)
+    ensemble = validated(AdditiveEnsemble(
+        space, ("c0", "c1"), ((TreeStructure((Leaf(0),), 0),), (c1,)), scale=1))
+    point = Instance((1, 2, 0, 0))
+    to_c1 = frozenset({1})
+    for cap in (4, 5, 24, 25):
+        oracle = Oracle(ensemble, completion_cap=cap)
+        assert oracle.reaches(point, set(), to_c1)
+        assert oracle.find_counterexample(point, set(), to_c1) == Instance((0, 0, 0, 3))
+    # the first completion predicts c0, so one visit answers over 24
+    oracle = Oracle(ensemble, completion_cap=1)
+    assert oracle.find_counterexample(point, set(), frozenset({0})) == Instance((0,) * 4)
+    assert not oracle.entails(point, set(), 1)
+    # with d kept at 0 no completion predicts c1: a search that refutes
+    # visits its whole product, 6, and raises when that is above the cap;
+    # kept features count for nothing
+    for cap in (6, 7):
+        oracle = Oracle(ensemble, completion_cap=cap)
+        assert not oracle.reaches(point, {3}, to_c1)
+        assert oracle.find_counterexample(point, {2, 3}, to_c1) is None
+    assert not Oracle(ensemble, completion_cap=1).reaches(point, {0, 1, 2, 3}, to_c1)
+    for cap, kept in ((3, set()), (5, {3}), (5, {2, 3})):
+        too_many = rf"visited {cap} completions, the completion cap, with no target"
+        oracle = Oracle(ensemble, completion_cap=cap)
         with pytest.raises(SearchSpaceExceeded, match=too_many):
-            oracle.reaches(point, kept, both)
+            oracle.reaches(point, kept, to_c1)
         with pytest.raises(SearchSpaceExceeded, match=too_many):
-            oracle.find_counterexample(point, kept, both)
-    with pytest.raises(SearchSpaceExceeded):
-        Oracle(mixed, completion_cap=7).reaches(point, {1}, both)
+            oracle.find_counterexample(point, kept, to_c1)
+
+
+def test_capped_queries_raise_or_give_the_uncapped_answer():
+    # a capped query answers as an uncapped one, query counts included,
+    # unless one of its searches visits the cap with no target and more to
+    # go; it never raises when its largest product is within the cap.  A
+    # single search raises exactly when its product is above the cap and
+    # its first target, if any, is not among the first `cap` completions
+    rng = random.Random(23)
+    outcomes = {"raised": 0, "answered above the cap": 0, "answered within": 0}
+    for _ in range(40):
+        model = _small_ensemble(rng, rng.randint(2, 5), rng.randint(1, 3))
+        space = model.space
+        n = space.n_features
+        sizes = [space.domain_size(f) for f in range(n)]
+        whole = math.prod(sizes)
+        for _ in range(5):
+            instance = random_instance(rng, space)
+            kept = {f for f in range(n) if rng.random() < 0.4}
+            targets = rng.choice(_target_sets(model.n_classes))
+            order = rng.sample(range(n), n)
+            free = math.prod(sizes[f] for f in range(n) if f not in kept)
+            first = next((i for i, (_, p) in enumerate(
+                _completions(model, instance, kept)) if p in targets), None)
+            queries = {
+                "reaches": (lambda o: o.reaches(instance, kept, targets), free),
+                "find_counterexample": (
+                    lambda o: o.find_counterexample(instance, kept, targets), free),
+                "minimal_sufficient": (
+                    lambda o: o.minimal_sufficient(instance, order, targets), whole),
+                "maximal_reaching": (
+                    lambda o: o.maximal_reaching(instance, kept, order, targets),
+                    free),
+            }
+            for name, (query, largest) in queries.items():
+                uncapped = Oracle(model, completion_cap=whole)
+                expected = query(uncapped), uncapped.stats
+                for cap in {1, 2, 3, rng.randint(1, whole), rng.randint(1, whole)}:
+                    oracle = Oracle(model, completion_cap=cap)
+                    try:
+                        answer = query(oracle), oracle.stats
+                    except SearchSpaceExceeded:
+                        assert cap < largest, (name, cap, largest)
+                        outcomes["raised"] += 1
+                        raised = True
+                    else:
+                        assert answer == expected, name
+                        outcomes["answered above the cap" if cap < largest
+                                 else "answered within"] += 1
+                        raised = False
+                    if name in ("reaches", "find_counterexample"):
+                        assert raised == (free > cap and (first is None
+                                                          or first >= cap))
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_ensemble_cxp_with_22_features():
+    # the empty kept set's product, 2^22, is above the default cap, but
+    # each search of the grow loop finds a target well within it
+    ensemble = synthetic_ensemble(n_features=22, trees_per_class=10, depth=4)
+    rng = random.Random(7)
+    for _ in range(5):
+        problem = make_problem(Oracle(ensemble), random_instance(rng, ensemble.space))
+        cxp = extract_cxp(problem)
+        assert cxp is not None and check_cxp(problem, cxp) == []
 
 
 def _naive_disagreement_sets(tree, values, targets):
