@@ -54,12 +54,14 @@ def iterate_explanations(problem: ExplanationProblem,
 
     Each explanation is also appended to `state`, so a caller that stops
     early still sees what was found and how many iterations it took; the
-    explanations a `state` already holds seed the search.  One hitting-set
-    solver serves the whole call: each AXp is blocked in it and each CXp is
-    added as a set to hit.  Each iteration reports one explanation, and the
-    last one finds that there are no more.  With `smallest=True` the AXps
-    are minimum-cardinality hitting sets, so they come out in non-decreasing
-    size order.
+    explanations a `state` already holds seed the search, so a later call
+    reports each one not yet found, once: on a tree in the order of an
+    uninterrupted call, on an ensemble possibly in another.  One
+    hitting-set solver serves the whole call: each AXp is blocked in it and
+    each CXp is added as a set to hit.  Each iteration reports one
+    explanation, and the last one finds that there are no more.  With
+    `smallest=True` the AXps are minimum-cardinality hitting sets, so they
+    come out in non-decreasing size order.
 
     A decision tree yields its CXps first, all taken from one walk of its
     paths and sorted by size, then by their features' positions in `order`;

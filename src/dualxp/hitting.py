@@ -14,16 +14,16 @@ elements in universe order.  With `smallest=True` the search is instead
 repeated under a growing cap on the chosen set's size (iterative
 deepening), with no shrink needed.
 
-The solver keeps its search between calls.  Branching depends only on the
-sets to hit, so blocking a set only removes subtrees from the search order,
-and no state popped before the last answer was a hitting set.  So after
-`add_blocked` alone, `next()` resumes from the saved stack, which still
-holds the last answer's own state on top.  `add_blocked` drops every saved
-state that covers the new set, so no saved state covers a blocked set.
-After `add_to_hit` the search starts again from the root.  Either way `next()`
-returns what a fresh search over everything added so far returns.
-With `smallest=True` it starts at the cap of the last answer: smaller caps
-failed then, and more sets to hit or block cannot make them succeed.
+One depth-first search serves every `next()` call: it resumes from the
+saved stack, which still holds the last answer's own state on top.  The
+search stops at the first hitting set, so every region it has left held no
+hitting set of the sets known then, and more sets to hit or block cannot
+add one.  A saved state that misses a newly added set branches on it when
+popped.  `add_blocked` drops every saved state that covers the new set, so
+no saved state covers a blocked set.  With `smallest=True` the cap of the
+last answer carries over, so each answer is still of minimum size.  Once a
+set to hit is added after an answer, later answers may come in another
+order than a fresh search would give, but the family is the same.
 
 Exact and deterministic for fixed input order.  The node budget counts the
 states popped by one `next()` call (a resumed call counts only its own), and
@@ -70,9 +70,9 @@ class HittingSetSolver:
         # element, so only these can become covered
         self._blocked_with: dict[int, list[int]] = {}
         self._empty = False  # an empty set to hit or to block: no answer
-        # pending (chosen, allowed) states, none covering a blocked set, or
-        # None to start from the root
-        self._stack: Optional[list[tuple[int, int]]] = None
+        # pending (chosen, allowed) states of the one search, kept across
+        # every add and next(), none covering a blocked set
+        self._stack = [self._root()]
         self._cap = 0  # smallest mode: the size cap of the current search
 
     def _mask(self, s: Iterable[int]) -> int:
@@ -89,14 +89,12 @@ class HittingSetSolver:
         m = self._mask(s)
         self._empty = self._empty or not m  # an empty set can never be hit
         self._sets.append(m)
-        self._stack = None  # branch choices depend on the sets to hit
 
     def add_blocked(self, s: Iterable[int]) -> None:
         """Forbid every later answer to cover `s`."""
         m = self._mask(s)
         self._empty = self._empty or not m  # every set covers the empty set
-        if self._stack is not None:
-            self._stack = [st for st in self._stack if st[0] & m != m]
+        self._stack = [st for st in self._stack if st[0] & m != m]
         rest = m
         while rest:
             low = rest & -rest
@@ -109,8 +107,6 @@ class HittingSetSolver:
         it is additionally of minimum cardinality."""
         if self._empty:
             return None
-        if self._stack is None:
-            self._stack = [self._root()]
         found = self._search()
         if found is None:
             return None

@@ -462,11 +462,15 @@ def test_byte_stability(capsys, poole_file, all16_file):
 
 
 # sha256 of each command's output on the first 20 bundled ensemble rows;
-# for `stats`, of its standard output followed by the CSV it writes
+# for `stats`, of its standard output followed by the CSV it writes.
+# `enum` pins the discovery order; `enum --sort-size` pins the families
+# whatever that order
 BUNDLED_ENSEMBLE_DIGESTS = {
     "axp": "6902ef53d857ad4c0a00b049c20bdc8a01048b434a07cf336785d339a7dcce9d",
     "cxp": "50f1d017e672f0b36d6375bdb771070b12258ec206772f20af9f5975f23e3964",
-    "enum": "d2b4b72f0ef4718987370796e835530848ca4060a8933e4b2c519e78cfa11776",
+    "enum": "324c97830d36c7a5f53624851d67b4c91135448d35ebbb94cee8f1a90f05f5ea",
+    "enum --sort-size":
+        "99e7525f6650228ce2eeb976e6fac58086e63659ef20863da5450369a98ef3e7",
     "verify": "a627c9ce72ceed92203d156ef0621bbf8f8cba910ea51c970ff3604b4d261050",
     "stats": "3c1cdf80d16be2a844ceef0f419c088e9c3302946cc6409a58141fb442e00ce7",
 }
@@ -482,6 +486,7 @@ def test_bundled_ensemble_output_is_pinned(capsys, tmp_path):
     files = ["-m", str(model), "-i", str(rows)]
     out_csv = tmp_path / "stats.csv"
     argvs = {"axp": ["axp"], "cxp": ["cxp"], "enum": ["enum", "--mode", "all"],
+             "enum --sort-size": ["enum", "--mode", "all", "--sort-size"],
              "verify": ["verify"], "stats": ["stats", "-o", str(out_csv)]}
     digests = {}
     for name, argv in argvs.items():

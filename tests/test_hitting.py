@@ -177,17 +177,21 @@ def test_blocked_search_matches_berge_reference(data):
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_solver_matches_fresh_search_after_every_step(data):
-    # one solver driven through random interleavings of adds and next();
-    # after each batch of adds, next() must equal a fresh search on
-    # everything added so far, whether it resumed or started again; and
-    # after each block no saved state covers a blocked set
+    # one solver driven through random interleavings of adds and next().
+    # Each answer is a minimal transversal of the sets to hit that covers no
+    # blocked set, of minimum size with smallest=True, and None only when
+    # there is none.  While every set to hit came before the first next(),
+    # as on a tree, each answer equals a fresh search on everything added so
+    # far.  After each block no saved state covers a blocked set
     n = data.draw(st.integers(1, 16))
     universe = data.draw(st.permutations(range(n)))
     smallest = data.draw(st.booleans())
     solver = HittingSetSolver(universe, smallest=smallest)
     subsets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6)
     to_hit, blocked = [], []
+    transversals = {frozenset()}
     found = None
+    asked = hit_after_asking = False
     for _ in range(data.draw(st.integers(1, 25), label="steps")):
         ops = data.draw(st.lists(st.sampled_from(["hit", "block", "block found"]),
                                  max_size=3), label="ops")
@@ -195,6 +199,8 @@ def test_solver_matches_fresh_search_after_every_step(data):
             if op == "hit":
                 to_hit.append(data.draw(subsets))
                 solver.add_to_hit(to_hit[-1])
+                transversals = minimal_transversals(to_hit)
+                hit_after_asking = asked
             elif op == "block" or found is None:
                 blocked.append(data.draw(subsets))
                 solver.add_blocked(blocked[-1])
@@ -203,11 +209,50 @@ def test_solver_matches_fresh_search_after_every_step(data):
                 solver.add_blocked(found)
             if op != "hit":
                 masks = [solver._mask(b) for b in blocked]
-                assert not any(m & chosen == m for chosen, _ in solver._stack or ()
+                assert not any(m & chosen == m for chosen, _ in solver._stack
                                for m in masks)
         found = solver.next()
-        assert found == minimal_hitting_set(hs(universe, to_hit, blocked),
-                                            smallest=smallest)
+        asked = True
+        allowed = {t for t in transversals if not any(b <= t for b in blocked)}
+        if not allowed:
+            assert found is None
+        else:
+            assert found in allowed
+            if smallest:
+                assert len(found) == min(len(t) for t in allowed)
+        if not hit_after_asking:
+            assert found == minimal_hitting_set(hs(universe, to_hit, blocked),
+                                                smallest=smallest)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_enumeration_loop_blocks_every_minimal_transversal_once(data):
+    # the solver driven as `iterate_explanations` drives it on an ensemble,
+    # against a hidden family: an answer that hits every hidden set is
+    # blocked, as an AXp is; otherwise a hidden set disjoint from it is
+    # added, as a CXp is.  The blocked answers are exactly the minimal
+    # transversals of the hidden family, each blocked once, and with
+    # smallest=True they come in non-decreasing size
+    n = data.draw(st.integers(1, 12))
+    universe = data.draw(st.permutations(range(n)))
+    hidden = data.draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6),
+        min_size=1, max_size=10))
+    smallest = data.draw(st.booleans())
+    solver = HittingSetSolver(universe, smallest=smallest)
+    blocked = []
+    while (found := solver.next()) is not None:
+        missed = [s for s in hidden if not s & found]
+        if missed:
+            solver.add_to_hit(data.draw(st.sampled_from(missed)))
+        else:
+            blocked.append(found)
+            solver.add_blocked(found)
+    assert len(blocked) == len(set(blocked))
+    assert set(blocked) == minimal_transversals(hidden)
+    if smallest:
+        assert [len(b) for b in blocked] == sorted(len(b) for b in blocked)
 
 
 def fewest_nodes(run):
