@@ -57,14 +57,14 @@ def test_iterate_explanations_continues_from_state(small_corpus):
     # run's solver resumes its search after each CXp, while the second call
     # seeds a new solver with the first call's CXps, so the order may differ
     shared = shared_children_tree()
+    ensemble = synthetic_ensemble(n_features=5, trees_per_class=3)
     rng = random.Random(5)
     inputs = small_corpus[:20] + [
         (shared, Instance((1, 0, 1))), (shared, Instance((0, 2, 0))),
-    ]
-    for seed, n_features, trees_per_class, depth in (
-            (20240817, 5, 3, 3), (0, 8, 4, 3), (1, 8, 4, 3)):
-        ensemble = synthetic_ensemble(seed, n_features, trees_per_class, depth)
-        inputs += [(ensemble, random_instance(rng, ensemble.space)) for _ in range(2)]
+    ] + [(ensemble, random_instance(rng, ensemble.space)) for _ in range(3)]
+    for seed in (0, 1):
+        wider = synthetic_ensemble(seed, n_features=8, trees_per_class=4, depth=3)
+        inputs += [(wider, random_instance(rng, wider.space)) for _ in range(3)]
     for model, instance in inputs:
         problem = problem_for(model, instance)
         for smallest in (False, True):
