@@ -5,13 +5,16 @@ implementations.
 The AXps are exactly the minimal hitting sets of the CXps.  One loop of the
 implicit-hitting-set scheme enumerates both: propose a minimal hitting set
 of the CXps known so far that covers no AXp found so far, then settle it.
-On an ensemble one oracle query settles it: if it entails the prediction it
-is a new AXp, otherwise the counterexample seeds the growth of a new CXp
-disjoint from the candidate, guaranteeing progress.  A decision tree first
-gets every CXp from one walk of its paths (each CXp is a minimal
-disagreement set of a path to a target leaf), so every later proposal is
-an AXp with no oracle query.  `iterate_explanations` is the one entry
-point: a CXp-only enumeration is its output with the AXps left out.
+On an ensemble one grow call settles it: `Oracle.maximal_reaching` from the
+candidate kept finds no target completion if the candidate is a new AXp,
+and otherwise grows it to a maximal kept set whose complement is a new CXp
+disjoint from the candidate, guaranteeing progress.  Its searches try the
+instance's value first; `find_counterexample`, which stays lexicographic,
+is not called.  A decision tree first gets every CXp from one walk of its
+paths (each CXp is a minimal disagreement set of a path to a target leaf),
+so every later proposal is an AXp with no oracle query.
+`iterate_explanations` is the one entry point: a CXp-only enumeration is
+its output with the AXps left out.
 """
 from __future__ import annotations
 
@@ -101,22 +104,17 @@ def iterate_explanations(problem: ExplanationProblem,
             candidate = solver.next()
             if candidate is None:
                 return
-            witness = (None if is_tree else
-                       oracle.find_counterexample(tau, candidate, problem.targets))
-            if witness is None:
+            kept = (None if is_tree else
+                    oracle.maximal_reaching(tau, candidate, ord_, problem.targets))
+            if kept is None:
                 # no completion of the candidate reaches the targets (on a
                 # tree the duality says so with no query); minimality among
                 # hitting sets of the full CXp family makes it an AXp
                 found = AXp(candidate)
                 solver.add_blocked(candidate)
             else:
-                # fix everything the witness agrees with (a superset of the
-                # candidate's complement stays released), grow, and the
-                # resulting CXp is disjoint from the candidate: progress is
-                # guaranteed
-                kept = oracle.maximal_reaching(
-                    tau, {f for f in ord_ if witness.values[f] == tau.values[f]},
-                    ord_, problem.targets, witness)
+                # the grow kept the candidate, so the CXp it leaves out is
+                # disjoint from it: progress is guaranteed
                 found = CXp(frozenset(range(problem.n_features)) - kept,
                             problem.targets)
                 solver.add_to_hit(found.features)

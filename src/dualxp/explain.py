@@ -9,9 +9,11 @@ search per probe over only the completions that move its feature off the
 instance's value, since those that keep it were refuted just before.  CXps
 come from the grow-to-maximal loop over the features kept fixed that
 `Oracle.maximal_reaching` runs, reusing the last witness to skip searches
-that cannot fail: on a decision tree each search is one path search that
-tries the instance's own branch first, so its witness agrees with the
-instance on more features.
+that cannot fail: each search tries the instance's own value first at
+every free feature (on a decision tree its own branch), so its witness
+agrees with the instance on more features.  A CXp's printed witness,
+`cxp_witness`, comes from `Oracle.find_counterexample`, which stays
+lexicographic.
 """
 from __future__ import annotations
 

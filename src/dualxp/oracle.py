@@ -7,13 +7,16 @@ the lexicographically first completion, built feature by feature on the
 last path found.  Additive ensembles are answered by one completion loop,
 `Oracle._first_target`, over the `itertools.product` of per-feature value
 ranges (a free feature's domain, kept once on the `FeatureSpace`, or a kept
-feature's instance value), which yields full value tuples in lexicographic
-order.  Each completion not yet in the prediction cache is scored by
-`raw_predict`.  The completion cap bounds the completions one search
-visits: the loop raises SearchSpaceExceeded once it has visited that many
-with no target and more to go, so a search whose first target comes early
-answers however large its product is, and a search that refutes pays up
-to the cap before it raises.
+feature's instance value), which yields full value tuples in the order of
+the ranges: lexicographic for `reaches`, `minimal_sufficient` and
+`find_counterexample`, and instance-first for the grow loop of
+`maximal_reaching`, whose free ranges list the instance's value before the
+rest of the domain.  Each completion not yet in the prediction cache is
+scored by `raw_predict`.  The completion cap bounds the completions one
+search visits: the loop raises SearchSpaceExceeded once it has visited that
+many with no target and more to go, so a search whose first target comes
+early answers however large its product is, and a search that refutes pays
+up to the cap before it raises.
 The deletion and grow loops keep one ranges list and update it in place as
 features are dropped or fixed.  A deletion probe of feature f searches only
 the completions that move f off its instance value, because those that keep
@@ -33,11 +36,13 @@ An AXp's deletion loop on a decision tree asks no separate path searches:
 are dropped, and a probe explores only the nodes that dropping its feature
 frees, so every node joins the region at most once.
 
-A CXp's grow loop on a decision tree (`_tree_maximal_reaching`) keeps one
-list of fixed values and the last path found as its witness, and each of
-its path searches tries the instance's own branch first at every free
-split, so the witness agrees with the instance on as many features as that
-search allows and those features join with no search of their own.
+A CXp's grow loop keeps the last target completion found as its witness,
+and each of its searches tries the instance's own value first at every free
+feature, so the witness agrees with the instance on as many features as
+that search allows and those features join with no search of their own.
+On a decision tree (`_tree_maximal_reaching`) a search is one path search
+that takes the instance's branch first at every free split, and the last
+path found stands for the witness.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
 of an instance in one walk of the same arrays.
@@ -159,8 +164,7 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
 
 def _tree_maximal_reaching(tree: TreeStructure, values: tuple[int, ...],
                            kept: AbstractSet[int], order: Sequence[int],
-                           targets: frozenset[int],
-                           witness: Optional[Instance]) -> tuple[Optional[frozenset[int]], int]:
+                           targets: frozenset[int]) -> tuple[Optional[frozenset[int]], int]:
     """The grow loop of `Oracle.maximal_reaching` on a decision tree, and
     the number of path searches it made.
 
@@ -171,15 +175,10 @@ def _tree_maximal_reaching(tree: TreeStructure, values: tuple[int, ...],
     witness agrees with the instance, and more features join with no search.
     """
     fixed = _kept_values(values, kept)
-    if witness is None:
-        path = _tree_path(tree, fixed, targets, values)
-        if path is None:
-            return None, 1
-        searches = 1
-    else:
-        path = {f: w for f, (w, v) in enumerate(zip(witness.values, values))
-                if w != v}
-        searches = 0
+    path = _tree_path(tree, fixed, targets, values)
+    if path is None:
+        return None, 1
+    searches = 1
     for f in order:
         if fixed[f] is not None:
             continue
@@ -434,7 +433,6 @@ class Oracle:
 
     def maximal_reaching(self, instance: Instance, kept: AbstractSet[int],
                          order: Sequence[int], targets: frozenset[int],
-                         witness: Optional[Instance] = None,
                          ) -> Optional[frozenset[int]]:
         """The grow loop over `order`, or None if no completion of the `kept`
         features reaches `targets`.  Each feature not yet kept, in the given
@@ -442,43 +440,42 @@ class Oracle:
         is kept at the end is a maximal set whose completions still reach
         them, and the features outside it form a CXp.
 
-        `witness`, if given, must be a completion of `kept` that predicts
-        into `targets`; otherwise one search establishes it.  A feature on
-        which the current witness agrees with the instance joins with no
-        search; each other feature costs one, whose completion, if there is
-        one, becomes the witness.  It counts one witness query per search.
-        On a decision tree each search is one path search that tries the
-        instance's own branch first, so the witness agrees with the instance
-        on more features; an ensemble searches its completions in
-        lexicographic order.  ModelError if a feature in `order` is not a
-        feature index."""
+        One search finds a first witness, a completion of `kept` that
+        predicts into `targets`.  A feature on which the current witness
+        agrees with the instance joins with no search; each other feature
+        costs one, whose completion, if there is one, becomes the witness.
+        It counts one witness query per search.  Every search tries the
+        instance's own value first at each free feature, so the witness
+        agrees with the instance on more features: on a decision tree as
+        one path search that takes the instance's branch first, on an
+        ensemble as one completion loop over ranges that list the
+        instance's value first and the rest of the domain in ascending
+        order.  ModelError if a feature in `order` is not a feature index."""
         self.space.check_instance(instance)
         order = tuple(order)
         features = range(self.space.n_features)
         if bad := [f for f in order if f not in features]:
             raise ModelError(f"order {bad} are not feature indices")
         targets = frozenset(targets)
+        tau = instance.values
         if isinstance(self.classifier, DecisionTree):
             grown, searches = _tree_maximal_reaching(
-                self.classifier.tree, instance.values, kept, order, targets, witness)
+                self.classifier.tree, tau, kept, order, targets)
             self.stats.witness_calls += searches
             return grown
-        tau = instance.values
         fixed = [f in kept for f in range(len(tau))]
-        ranges = self._ranges(instance, kept)
+        ranges = [(v,) if k else (v,) + d[:v] + d[v + 1:]
+                  for k, v, d in zip(fixed, tau, self.space.value_ranges)]
+        self.stats.witness_calls += 1
+        witness = self._first_target(ranges, targets)
         if witness is None:
-            self.stats.witness_calls += 1
-            witness = self._first_target(ranges, targets)
-            if witness is None:
-                return None
-        else:
-            witness = witness.values
-        domains = self.space.value_ranges
+            return None
         for f in order:
             if fixed[f]:
                 continue
             fixed[f] = True
             v = tau[f]
+            own = ranges[f]
             ranges[f] = (v,)
             if witness[f] == v:
                 continue
@@ -486,7 +483,7 @@ class Oracle:
             found = self._first_target(ranges, targets)
             if found is None:
                 fixed[f] = False
-                ranges[f] = domains[f]
+                ranges[f] = own
             else:
                 witness = found
         return frozenset(f for f, k in enumerate(fixed) if k)
@@ -541,8 +538,9 @@ class Oracle:
 
     def _first_target(self, ranges: Sequence[tuple[int, ...]],
                       targets: AbstractSet[int]) -> Optional[tuple[int, ...]]:
-        """The first completion in `itertools.product(*ranges)`, which is
-        lexicographic, that predicts into `targets`; None if there is none.
+        """The first completion in `itertools.product(*ranges)`, which
+        takes each range in its listed order, that predicts into `targets`;
+        None if there is none.
         SearchSpaceExceeded once it has visited `completion_cap` completions,
         none of them a target, and the product has more.  A completion not
         yet in the prediction cache is scored by `raw_predict`, looked up in

@@ -468,11 +468,11 @@ def test_byte_stability(capsys, poole_file, all16_file):
 BUNDLED_ENSEMBLE_DIGESTS = {
     "axp": "6902ef53d857ad4c0a00b049c20bdc8a01048b434a07cf336785d339a7dcce9d",
     "cxp": "50f1d017e672f0b36d6375bdb771070b12258ec206772f20af9f5975f23e3964",
-    "enum": "324c97830d36c7a5f53624851d67b4c91135448d35ebbb94cee8f1a90f05f5ea",
+    "enum": "233954459e1e4e96a60e14fb83d8c3b1a02b83bf43aa150753c840213b151a13",
     "enum --sort-size":
         "99e7525f6650228ce2eeb976e6fac58086e63659ef20863da5450369a98ef3e7",
     "verify": "a627c9ce72ceed92203d156ef0621bbf8f8cba910ea51c970ff3604b4d261050",
-    "stats": "3c1cdf80d16be2a844ceef0f419c088e9c3302946cc6409a58141fb442e00ce7",
+    "stats": "c88d0a9c7865ffd946f388788241275db2a024e97326e17d0b40e2c5111a7701",
 }
 
 

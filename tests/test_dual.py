@@ -90,7 +90,7 @@ def test_bundled_ensemble_enumeration_is_pinned():
                            parse_instances(synthetic_instances_csv(), ensemble.space))
     assert len(report.rows) == 100
     assert (report.total_axps, report.total_cxps, report.total_oracle_calls) == (
-        737, 848, 4819)
+        737, 848, 3737)
 
 
 def _tree_reference_inputs():

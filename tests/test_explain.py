@@ -7,7 +7,7 @@ from conftest import (A, L, READS, SKIPS, T, W, e3_fixture, random_shared_tree,
                       shared_chain)
 from dualxp.bundled import synthetic_ensemble_model, synthetic_instances_csv
 from dualxp.dual import (_completion_predictions, brute_force_corrections,
-                         brute_force_explanations)
+                         brute_force_explanations, enumerate_all)
 from dualxp.explain import (
     CXp,
     TargetUnreachable,
@@ -396,12 +396,12 @@ def test_axp_region_walk_matches_reaches_loop():
     assert min(outcomes.values()) > 300, outcomes
 
 
-def _random_ensemble(rng, space, n_classes, trees_per_class):
-    """An ensemble of random trees whose leaf scores are 0 to 2, so that
-    class scores often tie."""
+def _random_ensemble(rng, space, n_classes, trees_per_class, score_range=1):
+    """An ensemble of random trees whose leaf scores are 0 to
+    2 * `score_range`, so that class scores often tie."""
     return validated(AdditiveEnsemble(
         space, tuple(f"c{i}" for i in range(n_classes)),
-        tuple(tuple(random_tree(rng, space, 3).tree
+        tuple(tuple(random_tree(rng, space, 2 * score_range + 1).tree
                     for _ in range(trees_per_class))
               for _ in range(n_classes)),
         scale=1))
@@ -462,31 +462,53 @@ def test_ensemble_deletion_loop_matches_reaches_loop():
     assert min(outcomes.values()) > 200, outcomes
 
 
-def _reference_grow(oracle, instance, kept, order, targets, witness):
+def _reference_grow(oracle, instance, kept, order, targets, own_first=True):
     """The grow loop as a plain loop of searches, and the number of searches
-    it made: a feature joins when the current witness agrees with the
-    instance on it, or when a search with it kept finds a new witness.  A
-    search is `find_counterexample` on an ensemble, and on a tree the first
-    path search in ascending branch order, completed with the instance's
-    values off the path."""
+    it made, each also counted as a witness query on `oracle`: a feature
+    joins when the current witness agrees with the instance on it, or when
+    a search with it kept finds a new witness.  A search on an ensemble
+    takes the first completion in a plain `itertools.product` that
+    `raw_predict` puts in `targets`, and raises SearchSpaceExceeded where
+    the oracle's search would: its product is above `oracle.completion_cap`
+    and no target is among the first that many.  A search on a tree is the
+    first path search, completed with the instance's values off the path.
+    With `own_first` each free feature tries the instance's value first and
+    the rest of its domain in ascending order; without it every value
+    ascends."""
     tau = instance.values
+    model = oracle.classifier
 
     def search(fixed):
-        if not isinstance(oracle.classifier, DecisionTree):
-            return oracle.find_counterexample(instance, fixed, targets)
-        values = [v if f in fixed else None for f, v in enumerate(tau)]
-        path = _tree_path(oracle.classifier.tree, values, targets)
-        if path is None:
-            return None
-        return Instance(tuple(path.get(f, v) for f, v in enumerate(tau)))
+        oracle.stats.witness_calls += 1
+        if isinstance(model, DecisionTree):
+            values = [v if f in fixed else None for f, v in enumerate(tau)]
+            path = _tree_path(model.tree, values, targets,
+                              tau if own_first else None)
+            if path is None:
+                return None
+            return Instance(tuple(path.get(f, v) for f, v in enumerate(tau)))
+        ranges = []
+        for f, v in enumerate(tau):
+            domain = range(model.space.domain_size(f))
+            if f in fixed:
+                ranges.append((v,))
+            elif own_first:
+                ranges.append((v, *(w for w in domain if w != v)))
+            else:
+                ranges.append(domain)
+        completions = list(itertools.product(*ranges))
+        first = next((i for i, full in enumerate(completions)
+                      if raw_predict(model, full) in targets), None)
+        cap = oracle.completion_cap
+        if len(completions) > cap and (first is None or first >= cap):
+            raise SearchSpaceExceeded("the completion cap")
+        return None if first is None else Instance(completions[first])
 
     kept = set(kept)
-    searches = 0
+    searches = 1
+    witness = search(kept)
     if witness is None:
-        searches += 1
-        witness = search(kept)
-        if witness is None:
-            return None, searches
+        return None, searches
     for f in order:
         if f in kept:
             continue
@@ -502,9 +524,9 @@ def _reference_grow(oracle, instance, kept, order, targets, witness):
 
 
 def test_maximal_reaching_matches_grow_loop():
-    # the oracle's grow loop must keep what the plain loop keeps; an
-    # ensemble makes the same searches, and a tree, whose searches try the
-    # instance's own branch first, no more of them
+    # the oracle's grow loop must keep what the plain loop keeps and make
+    # the same searches, each trying the instance's value first; over the
+    # corpus, that makes fewer searches than a loop whose searches ascend
     rng = random.Random(41)
     models = [shared_chain(7)]
     for _ in range(40):
@@ -520,8 +542,9 @@ def test_maximal_reaching_matches_grow_loop():
             trees_per_class=rng.randint(1, 3), depth=3,
             n_classes=2 + seed % 2, score_range=(1, 2, 250000)[seed % 3]))
     outcomes = {(kind, outcome): 0 for kind in ("tree", "ensemble")
-                for outcome in ("unreachable", "grown", "seeded")}
-    tree_searches = {"oracle": 0, "reference": 0}
+                for outcome in ("unreachable", "from nothing", "from a candidate")}
+    searches = {(kind, loop): 0 for kind in ("tree", "ensemble")
+                for loop in ("oracle", "ascending")}
     for model in models:
         n = model.space.n_features
         kind = "tree" if isinstance(model, DecisionTree) else "ensemble"
@@ -535,41 +558,35 @@ def test_maximal_reaching_matches_grow_loop():
                 rng.shuffle(order)
                 oracle = Oracle(model)
                 candidate = set(rng.sample(range(n), rng.randint(0, n)))
-                seeds = [(set(), None), (candidate, None)]
-                # the seed `iterate_explanations` passes: a candidate's
-                # lexicographic witness and every feature it agrees on
-                witness = oracle.find_counterexample(instance, candidate, targets)
-                if witness is not None:
-                    seeds.append(({f for f in range(n)
-                                   if witness.values[f] == instance.values[f]},
-                                  witness))
-                for kept, seed_witness in seeds:
-                    expected, searches = _reference_grow(
-                        oracle, instance, kept, order, targets, seed_witness)
+                for kept, seed in ((set(), "from nothing"),
+                                   (candidate, "from a candidate")):
+                    expected, expected_searches = _reference_grow(
+                        Oracle(model), instance, kept, order, targets)
+                    ascending, ascending_searches = _reference_grow(
+                        Oracle(model), instance, kept, order, targets,
+                        own_first=False)
+                    assert ascending == expected
                     before = oracle.stats.witness_calls
-                    grown = oracle.maximal_reaching(instance, kept, order, targets,
-                                                    seed_witness)
+                    grown = oracle.maximal_reaching(instance, kept, order, targets)
                     made = oracle.stats.witness_calls - before
                     assert grown == expected
-                    if kind == "tree":
-                        assert made <= n + 1
-                        tree_searches["oracle"] += made
-                        tree_searches["reference"] += searches
-                    else:
-                        assert made == searches
+                    assert made == expected_searches
+                    searches[kind, "oracle"] += made
+                    searches[kind, "ascending"] += ascending_searches
                     if grown is None:
                         outcomes[kind, "unreachable"] += 1
                     else:
                         assert grown >= kept
-                        outcomes[kind, "seeded" if seed_witness else "grown"] += 1
-    # trying the instance's own branch first saves searches over the corpus
-    assert tree_searches["oracle"] < tree_searches["reference"], tree_searches
+                        outcomes[kind, seed] += 1
+    # trying the instance's value first saves searches over the corpus
+    for kind in ("tree", "ensemble"):
+        assert searches[kind, "oracle"] < searches[kind, "ascending"], searches
     assert min(outcomes.values()) > 80, outcomes
 
 
 def test_ensemble_loops_raise_where_the_plain_loops_raise():
     # the grow loop must raise SearchSpaceExceeded at the search where the
-    # loop of plain `find_counterexample` queries raises, and count the
+    # plain loop of instance-first product searches raises, and count the
     # same queries up to it.  A probe of the deletion loop searches only the
     # completions that move its feature, so it visits no more than the
     # plain `reaches` query on the kept set without it: the loop must never
@@ -602,12 +619,6 @@ def test_ensemble_loops_raise_where_the_plain_loops_raise():
             order = list(range(n))
             rng.shuffle(order)
             repeated = order + [3, rng.randrange(n)]
-            witness = Oracle(model).find_counterexample(instance, (), targets)
-            seeds = [(set(), None), ({0, 2}, None)]
-            if witness is not None:
-                seeds.append(({f for f in range(n)
-                               if witness.values[f] == instance.values[f]},
-                              witness))
             for cap in range(1, 50):
                 for probed in (order, repeated):
                     plain, loop = (Oracle(model, completion_cap=cap)
@@ -620,16 +631,77 @@ def test_ensemble_loops_raise_where_the_plain_loops_raise():
                         loop, "axp")
                     if reference[0] != "raised":
                         assert answer == reference
-                for kept, seed_witness in seeds:
+                for kept in (set(), {0, 2}):
                     plain, loop = (Oracle(model, completion_cap=cap)
                                    for _ in range(2))
                     reference = outcome(
                         lambda: _reference_grow(plain, instance, kept, order,
-                                                targets, seed_witness)[0],
+                                                targets)[0],
                         plain, "grow")
                     assert reference == outcome(
                         lambda: loop.maximal_reaching(instance, kept, order,
-                                                      targets, seed_witness),
+                                                      targets),
                         loop, "grow")
     assert min(raised.values()) > 1000 and min(answered.values()) > 1000, (
         raised, answered)
+
+
+def _brute_force_axps(classifier, instance, targets):
+    """The subset-minimal kept sets none of whose completions, predicted one
+    by one, falls in `targets`."""
+    n = instance.n_features
+    sufficient = [frozenset(c) for r in range(n + 1)
+                  for c in itertools.combinations(range(n), r)
+                  if not any(p in targets for p in _completion_predictions(
+                      classifier, instance, frozenset(c)))]
+    return {s for s in sufficient if not any(o < s for o in sufficient)}
+
+
+def test_ensemble_explanations_match_brute_force():
+    # an ensemble's grow searches try the instance's value first.  Over
+    # domains of 2 to 4 values, tied class scores, targeted questions and
+    # shuffled orders, the CXp must still be the one the ascending grow
+    # keeps, the printed witness the lexicographically first, and both
+    # families those of subset enumeration
+    rng = random.Random(53)
+    outcomes = {"basic": 0, "targeted": 0, "unreachable": 0}
+    for i in range(60):
+        space = random_space(rng, rng.randint(2, 5), (2, 4))
+        model = _random_ensemble(rng, space, rng.randint(2, 3), rng.randint(1, 3),
+                                 score_range=1 + i % 2)
+        n = space.n_features
+        for _ in range(3):
+            instance = random_instance(rng, space)
+            predicted = raw_predict(model, instance.values)
+            others = sorted(set(range(model.n_classes)) - {predicted})
+            chosen = rng.sample(others, rng.randint(1, len(others)))
+            for kind, targets in (("basic", None), ("targeted", chosen)):
+                problem = problem_for(model, instance, targets=targets)
+                order = list(range(n))
+                rng.shuffle(order)
+                kept, _ = _reference_grow(Oracle(model), instance, (), order,
+                                          problem.targets, own_first=False)
+                cxp = extract_cxp(problem, order)
+                axps, cxps = enumerate_all(problem, order)
+                if kind == "basic":
+                    bf_axps, bf_cxps = brute_force_explanations(model, instance)
+                else:
+                    bf_axps = _brute_force_axps(model, instance, problem.targets)
+                    bf_cxps = brute_force_corrections(model, instance,
+                                                      problem.targets)
+                assert {a.features for a in axps} == set(bf_axps)
+                assert sorted(map(sorted, (c.features for c in cxps))) == sorted(
+                    map(sorted, bf_cxps))
+                if kept is None:
+                    assert cxp is None
+                    outcomes["unreachable"] += 1
+                    continue
+                assert cxp.features == frozenset(range(n)) - kept
+                witness = cxp_witness(problem, cxp)
+                first = _first_target_completion(model, instance, kept,
+                                                 problem.targets)
+                assert witness.replacement == PartialAssignment.of(
+                    (f, first[f]) for f in cxp.features)
+                assert witness.witness_class == raw_predict(model, first)
+                outcomes[kind] += 1
+    assert min(outcomes.values()) > 30, outcomes
