@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .model import Classifier, DecisionTree, FeatureSpace, Instance
-from .modelio import parse_instances, parse_model
+from .modelio import parse_model
 
 
 def _read(name: str) -> str:

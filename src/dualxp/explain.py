@@ -1,19 +1,13 @@
 """Single-explanation extraction: sufficient-reason sets (AXps), correction
 sets (CXps), targeted CXps, and CXp witnesses.
 
-AXps come from one deletion pass over all features (one entailment query
-per feature), which `Oracle.minimal_sufficient` runs: on a decision tree as
-one growing walk of the nodes reachable under the kept features, where a
-probe explores only what dropping its feature frees, on an ensemble as one
-search per probe over only the completions that move its feature off the
-instance's value, since those that keep it were refuted just before.  CXps
-come from the grow-to-maximal loop over the features kept fixed that
+An AXp comes from one deletion pass over all features (one entailment query
+per feature), which `Oracle.minimal_sufficient` runs, and a CXp from the
+grow-to-maximal pass over the features kept fixed, which
 `Oracle.maximal_reaching` runs, reusing the last witness to skip searches
-that cannot fail: each search tries the instance's own value first at
-every free feature (on a decision tree its own branch), so its witness
-agrees with the instance on more features.  A CXp's printed witness,
-`cxp_witness`, comes from `Oracle.find_counterexample`, which stays
-lexicographic.
+that cannot fail; `dualxp.oracle` says how each loop searches.  A CXp's
+printed witness, `cxp_witness`, is the lexicographically first completion,
+which `Oracle.find_counterexample` returns.
 """
 from __future__ import annotations
 
@@ -143,7 +137,7 @@ def cxp_witness(problem: ExplanationProblem, cxp: CXp) -> CxpWitness:
     fixed = frozenset(range(problem.n_features)) - cxp.features
     w = problem.oracle.find_counterexample(tau, fixed, problem.targets)
     if w is None:
-        raise ModelError("internal defect: no witness exists for a valid CXp")
+        raise RuntimeError("internal defect: no witness exists for a valid CXp")
     replacement = PartialAssignment.of((f, w.values[f]) for f in cxp.features)
     return CxpWitness(replacement, problem.oracle.predict(w))
 

@@ -68,8 +68,16 @@ class FeatureSpace:
     @functools.cached_property
     def value_ranges(self) -> tuple[tuple[int, ...], ...]:
         """Per feature, the tuple of its value indices, built on first use
-        and kept, so an ensemble query builds no ranges of its own."""
+        and kept, so an oracle query builds no ranges of its own."""
         return tuple(tuple(range(len(dom))) for dom in self.domains)
+
+    @functools.cached_property
+    def own_first_ranges(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per feature and value v, the feature's value indices with v first
+        and the rest ascending: the range a CXp grow search tries at a free
+        feature whose instance value is v.  Built on first use and kept."""
+        return tuple(tuple((v,) + r[:v] + r[v + 1:] for v in r)
+                     for r in self.value_ranges)
 
     def feature_index(self, name: str) -> int:
         try:

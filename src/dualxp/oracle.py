@@ -1,26 +1,34 @@
 """Exact entailment and counterexample queries against a tree classifier.
 
 A query fixes the features in a kept set to their values in an instance and
-leaves the rest free.  Decision trees are answered by one iterative search
-for a feasible path to a leaf of the wanted classes.  A counterexample is
-the lexicographically first completion, built feature by feature on the
-last path found.  Additive ensembles are answered by one completion loop,
-`Oracle._first_target`, over the `itertools.product` of per-feature value
-ranges (a free feature's domain, kept once on the `FeatureSpace`, or a kept
-feature's instance value), which yields full value tuples in the order of
-the ranges: lexicographic for `reaches`, `minimal_sufficient` and
+leaves the rest free, and asks whether some completion reaches the target
+classes.  Every search describes that by per-feature value ranges: the
+tuple of values each feature may take, in the order they are tried (a kept
+feature's instance value alone, a free feature's domain, kept once on the
+`FeatureSpace`).  One method, `Oracle._first_target`, answers it and
+returns the first target completion as a full value tuple: on a decision
+tree by one depth-first path search, `_tree_target`, on an additive
+ensemble by one completion loop over the `itertools.product` of the ranges.
+The ranges are ascending for `reaches`, `minimal_sufficient` and
 `find_counterexample`, and instance-first for the grow loop of
 `maximal_reaching`, whose free ranges list the instance's value before the
-rest of the domain.  Each completion not yet in the prediction cache is
-scored by `raw_predict`.  The completion cap bounds the completions one
-search visits: the loop raises SearchSpaceExceeded once it has visited that
-many with no target and more to go, so a search whose first target comes
-early answers however large its product is, and a search that refutes pays
-up to the cap before it raises.
-The deletion and grow loops keep one ranges list and update it in place as
-features are dropped or fixed.  A deletion probe of feature f searches only
-the completions that move f off its instance value, because those that keep
-it were refuted under the last kept set.
+rest of the domain (`FeatureSpace.own_first_ranges`).  The deletion and
+grow loops keep one ranges list and update it in place as features are
+dropped or fixed.
+
+An ensemble's product yields completions in the order of the ranges, so
+its first target is the lexicographically first one.  Each completion not
+yet in the prediction cache is scored by `raw_predict`.  The completion cap
+bounds the completions one search visits: the loop raises
+SearchSpaceExceeded once it has visited that many with no target and more
+to go, so a search whose first target comes early answers however large its
+product is, and a search that refutes pays up to the cap before it raises.
+A deletion probe of feature f searches only the completions that move f off
+its instance value, because those that keep it were refuted under the last
+kept set.
+A tree's path search takes each split's range in listed order, so it is
+depth first, not lexicographic: `find_counterexample` lowers each free
+feature in turn to its least value that keeps a target reachable.
 On a decision tree every walk, predictions and path searches alike, reads
 the flat node arrays that each tree compiles once (`TreeStructure.arrays`),
 since its searches need node ids.  An ensemble prediction walks linked nodes
@@ -40,9 +48,6 @@ A CXp's grow loop keeps the last target completion found as its witness,
 and each of its searches tries the instance's own value first at every free
 feature, so the witness agrees with the instance on as many features as
 that search allows and those features join with no search of their own.
-On a decision tree (`_tree_maximal_reaching`) a search is one path search
-that takes the instance's branch first at every free split, and the last
-path found stands for the witness.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
 of an instance in one walk of the same arrays.
@@ -54,14 +59,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
 from .hitting import _covers
-from .model import (
-    AdditiveEnsemble,
-    Classifier,
-    DecisionTree,
-    Instance,
-    ModelError,
-    TreeStructure,
-)
+from .model import Classifier, DecisionTree, Instance, ModelError, TreeStructure
 
 DEFAULT_COMPLETION_CAP = 2 ** 20
 
@@ -107,32 +105,23 @@ def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
     return scores.index(max(scores))
 
 
-def _kept_values(values: Sequence[int],
-                 kept: AbstractSet[int]) -> list[Optional[int]]:
-    """`values` with every feature outside `kept` set to None."""
-    return [v if f in kept else None for f, v in enumerate(values)]
+def _tree_target(tree: TreeStructure, ranges: Sequence[tuple[int, ...]],
+                 targets: AbstractSet[int]) -> Optional[tuple[int, ...]]:
+    """The first path, depth first, to a leaf with class in `targets` whose
+    branches all lie in `ranges`, as a full completion: its branch values
+    on the path and each other feature's first listed value; None if there
+    is none.
 
-
-def _tree_path(tree: TreeStructure, values: list[Optional[int]],
-               targets: frozenset[int],
-               prefer: Optional[Sequence[int]] = None) -> Optional[dict[int, int]]:
-    """Branch values of the free features (None in `values`) on the first
-    path, depth first, to a leaf with class in `targets` that is feasible
-    under `values`; None if there is none.
-
-    A free split tries its children in ascending value order, or, given
-    `prefer`, its child for the preferred value first and then the rest in
-    ascending order; the path then leaves out the free features whose
-    branch is the preferred one.  A kept split is followed on the spot.
-
-    Each node is expanded at most once: whether a target leaf is reachable
-    from a node does not depend on the path to it, because no feature
-    repeats on a path.
+    A split tries its feature's range in listed order, so a range of one
+    value is followed on the spot.  Each node is expanded at most once:
+    whether a target leaf is reachable from a node does not depend on the
+    path to it, because no feature repeats on a path.
     """
     feature, children, value = tree.arrays
     seen: set[int] = set()
     # entries are (node id, link); a link is (parent link, feature, value)
-    # for the free-feature branches recorded on the way down, or None
+    # for each branch on the way down off its feature's first listed value,
+    # or None
     stack: list[tuple[int, Optional[tuple]]] = [(tree.root, None)]
     while stack:
         node_id, link = stack.pop()
@@ -141,57 +130,21 @@ def _tree_path(tree: TreeStructure, values: list[Optional[int]],
             f = feature[node_id]
             if f < 0:
                 if value[node_id] in targets:
-                    path = {}
+                    full = [r[0] for r in ranges]
                     while link is not None:
                         link, f, v = link
-                        path[f] = v
-                    return path
+                        full[f] = v
+                    return tuple(full)
                 break
-            fixed = values[f]
-            if fixed is not None:
-                node_id = children[node_id][fixed]
-                continue
+            # go on at the first listed value, which the completion takes
+            # unless a link says otherwise; push the rest, last one first
+            r = ranges[f]
             kids = children[node_id]
-            own = -1 if prefer is None else prefer[f]
-            for v in range(len(kids) - 1, -1, -1):
-                if v != own:
+            if len(r) > 1:
+                for v in r[:0:-1]:
                     stack.append((kids[v], (link, f, v)))
-            if own >= 0:
-                stack.append((kids[own], link))
-            break
+            node_id = kids[r[0]]
     return None
-
-
-def _tree_maximal_reaching(tree: TreeStructure, values: tuple[int, ...],
-                           kept: AbstractSet[int], order: Sequence[int],
-                           targets: frozenset[int]) -> tuple[Optional[frozenset[int]], int]:
-    """The grow loop of `Oracle.maximal_reaching` on a decision tree, and
-    the number of path searches it made.
-
-    One `fixed` list holds the kept features at `values`, and the last path
-    found stands for the witness: it takes its branch values on the path
-    and `values` off it.  Each search tries the instance's own branch first
-    at every free split, so the path leaves out the features on which the
-    witness agrees with the instance, and more features join with no search.
-    """
-    fixed = _kept_values(values, kept)
-    path = _tree_path(tree, fixed, targets, values)
-    if path is None:
-        return None, 1
-    searches = 1
-    for f in order:
-        if fixed[f] is not None:
-            continue
-        v = fixed[f] = values[f]
-        if path.get(f, v) == v:
-            continue
-        searches += 1
-        found = _tree_path(tree, fixed, targets, values)
-        if found is None:
-            fixed[f] = None
-        else:
-            path = found
-    return frozenset(f for f, v in enumerate(fixed) if v is not None), searches
 
 
 def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
@@ -211,7 +164,8 @@ def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
     """
     feature, children, value = tree.arrays
     kept = set(candidates)
-    fixed = _kept_values(values, kept)
+    fixed: list[Optional[int]] = [v if f in kept else None
+                                  for f, v in enumerate(values)]
     region: set[int] = set()
     splits: dict[int, list[int]] = {f: [] for f in kept}
 
@@ -318,11 +272,11 @@ class Oracle:
     `entails`, `reaches` and `find_counterexample` take an instance and the
     set of its features kept at their instance values; every other feature
     is free.  Every query checks its instance as `predict` does.
-    On a decision tree each is one iterative path search, plus one more per
-    value tried below the last path's branch when building the
-    lexicographically first counterexample.  `minimal_sufficient` runs a
-    whole AXp deletion loop, on a tree as one region walk, and
-    `maximal_reaching` a whole CXp grow loop, on a tree as one path search
+    Each is one search over per-feature value ranges (`_first_target`), plus,
+    on a decision tree, one more per value tried below the first target's
+    when lowering it to the lexicographically first counterexample.
+    `minimal_sufficient` runs a whole AXp deletion loop, on a tree as one
+    region walk, and `maximal_reaching` a whole CXp grow loop, one search
     per feature the last witness disagrees on.
 
     An ensemble search raises SearchSpaceExceeded once it has visited
@@ -377,10 +331,6 @@ class Oracle:
         an entailment query."""
         self.space.check_instance(instance)
         self.stats.entailment_calls += 1
-        if isinstance(self.classifier, DecisionTree):
-            return _tree_path(self.classifier.tree,
-                              _kept_values(instance.values, kept),
-                              targets) is not None
         return self._first_target(self._ranges(instance, kept), targets) is not None
 
     def minimal_sufficient(self, instance: Instance, candidates: Sequence[int],
@@ -444,13 +394,11 @@ class Oracle:
         predicts into `targets`.  A feature on which the current witness
         agrees with the instance joins with no search; each other feature
         costs one, whose completion, if there is one, becomes the witness.
-        It counts one witness query per search.  Every search tries the
-        instance's own value first at each free feature, so the witness
-        agrees with the instance on more features: on a decision tree as
-        one path search that takes the instance's branch first, on an
-        ensemble as one completion loop over ranges that list the
-        instance's value first and the rest of the domain in ascending
-        order.  ModelError if a feature in `order` is not a feature index."""
+        It counts one witness query per search.  Every search is over
+        ranges that list the instance's value first at each free feature
+        and the rest of its domain in ascending order, so the witness agrees
+        with the instance on more features.
+        ModelError if a feature in `order` is not a feature index."""
         self.space.check_instance(instance)
         order = tuple(order)
         features = range(self.space.n_features)
@@ -458,14 +406,9 @@ class Oracle:
             raise ModelError(f"order {bad} are not feature indices")
         targets = frozenset(targets)
         tau = instance.values
-        if isinstance(self.classifier, DecisionTree):
-            grown, searches = _tree_maximal_reaching(
-                self.classifier.tree, tau, kept, order, targets)
-            self.stats.witness_calls += searches
-            return grown
         fixed = [f in kept for f in range(len(tau))]
-        ranges = [(v,) if k else (v,) + d[:v] + d[v + 1:]
-                  for k, v, d in zip(fixed, tau, self.space.value_ranges)]
+        ranges = [(v,) if k else by_value[v] for k, v, by_value
+                  in zip(fixed, tau, self.space.own_first_ranges)]
         self.stats.witness_calls += 1
         witness = self._first_target(ranges, targets)
         if witness is None:
@@ -497,36 +440,31 @@ class Oracle:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
         targets = frozenset(targets)
+        ranges = self._ranges(instance, kept)
+        found = self._first_target(ranges, targets)
+        if found is None:
+            return None
         if isinstance(self.classifier, DecisionTree):
-            return self._tree_completion(_kept_values(instance.values, kept), targets)
-        found = self._first_target(self._ranges(instance, kept), targets)
-        return None if found is None else Instance(found)
+            # a path search is depth first, not lexicographic: fix the free
+            # features in order, each to its least value that keeps a target
+            # reachable.  The last completion found still reaches one, so
+            # its value w needs no search; only the values below w do, and a
+            # completion found for one of them replaces it.
+            tree = self.classifier.tree
+            for f, r in enumerate(ranges):
+                if len(r) == 1:
+                    continue
+                for v in range(found[f]):
+                    ranges[f] = (v,)
+                    lower = _tree_target(tree, ranges, targets)
+                    if lower is not None:
+                        found = lower
+                        break
+                else:
+                    ranges[f] = (found[f],)
+        return Instance(found)
 
     # internal machinery (not counted in stats)
-
-    def _tree_completion(self, values: list[Optional[int]],
-                         targets: frozenset[int]) -> Optional[Instance]:
-        tree = self.classifier.tree
-        path = _tree_path(tree, values, targets)
-        if path is None:
-            return None
-        # fix the free features in order, each to its least value that keeps
-        # a target leaf reachable.  The last path found stays feasible, so
-        # its branch value w (0 off the path) needs no search; only the
-        # values below w do, and a path found for one of them replaces it.
-        for f in range(len(values)):
-            if values[f] is not None:
-                continue
-            w = path.get(f, 0)
-            for v in range(w):
-                values[f] = v
-                found = _tree_path(tree, values, targets)
-                if found is not None:
-                    path = found
-                    break
-            else:
-                values[f] = w
-        return Instance(tuple(values))
 
     def _ranges(self, instance: Instance,
                 kept: AbstractSet[int]) -> list[tuple[int, ...]]:
@@ -538,15 +476,18 @@ class Oracle:
 
     def _first_target(self, ranges: Sequence[tuple[int, ...]],
                       targets: AbstractSet[int]) -> Optional[tuple[int, ...]]:
-        """The first completion in `itertools.product(*ranges)`, which
-        takes each range in its listed order, that predicts into `targets`;
-        None if there is none.
-        SearchSpaceExceeded once it has visited `completion_cap` completions,
-        none of them a target, and the product has more.  A completion not
-        yet in the prediction cache is scored by `raw_predict`, looked up in
-        this module on every miss."""
-        cache = self._cache
+        """A completion in `itertools.product(*ranges)`, which takes each
+        range in its listed order, that predicts into `targets`; None if
+        there is none.  On a decision tree it is the first that the path
+        search `_tree_target` finds, on an ensemble the first in the product.
+        An ensemble search raises SearchSpaceExceeded once it has visited
+        `completion_cap` completions, none of them a target, and the product
+        has more.  A completion not yet in the prediction cache is scored by
+        `raw_predict`, looked up in this module on every miss."""
         classifier = self.classifier
+        if isinstance(classifier, DecisionTree):
+            return _tree_target(classifier.tree, ranges, targets)
+        cache = self._cache
         completions = itertools.product(*ranges)
         for full in itertools.islice(completions, self.completion_cap):
             predicted = cache.get(full)

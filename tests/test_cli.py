@@ -404,6 +404,18 @@ def test_internal_error_exit_code(capsys, monkeypatch, poole_file, e2_file):
     assert "Traceback" in err and "RuntimeError: simulated defect" in err
 
 
+def test_missing_cxp_witness_is_an_internal_error(capsys, monkeypatch,
+                                                  poole_file, e2_file):
+    # a valid CXp always has a witness, so a search that finds none is a
+    # defect in dualxp, not a bad input: exit 5 with the traceback
+    monkeypatch.setattr("dualxp.oracle.Oracle.find_counterexample",
+                        lambda *args: None)
+    code, out, err = run(capsys, "cxp", "-m", poole_file, "-i", e2_file)
+    assert code == 5
+    assert out == ""
+    assert "Traceback" in err and "internal defect" in err
+
+
 def _python_m_dualxp(*argv):
     """`python -m dualxp` with this checkout's package first on the path,
     as a running subprocess.Popen with piped, text-mode output."""

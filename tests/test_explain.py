@@ -22,7 +22,7 @@ from dualxp.explain import (
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace, Instance,
                           ModelError, PartialAssignment, validated)
 from dualxp.modelio import parse_instances
-from dualxp.oracle import Oracle, SearchSpaceExceeded, _tree_path, raw_predict
+from dualxp.oracle import Oracle, SearchSpaceExceeded, _tree_target, raw_predict
 from dualxp.synth import (random_instance, random_space, random_tree,
                           synthetic_ensemble)
 
@@ -471,7 +471,7 @@ def _reference_grow(oracle, instance, kept, order, targets, own_first=True):
     `raw_predict` puts in `targets`, and raises SearchSpaceExceeded where
     the oracle's search would: its product is above `oracle.completion_cap`
     and no target is among the first that many.  A search on a tree is the
-    first path search, completed with the instance's values off the path.
+    first path search over the same ranges.
     With `own_first` each free feature tries the instance's value first and
     the rest of its domain in ascending order; without it every value
     ascends."""
@@ -480,13 +480,6 @@ def _reference_grow(oracle, instance, kept, order, targets, own_first=True):
 
     def search(fixed):
         oracle.stats.witness_calls += 1
-        if isinstance(model, DecisionTree):
-            values = [v if f in fixed else None for f, v in enumerate(tau)]
-            path = _tree_path(model.tree, values, targets,
-                              tau if own_first else None)
-            if path is None:
-                return None
-            return Instance(tuple(path.get(f, v) for f, v in enumerate(tau)))
         ranges = []
         for f, v in enumerate(tau):
             domain = range(model.space.domain_size(f))
@@ -496,6 +489,9 @@ def _reference_grow(oracle, instance, kept, order, targets, own_first=True):
                 ranges.append((v, *(w for w in domain if w != v)))
             else:
                 ranges.append(domain)
+        if isinstance(model, DecisionTree):
+            found = _tree_target(model.tree, ranges, targets)
+            return None if found is None else Instance(found)
         completions = list(itertools.product(*ranges))
         first = next((i for i, full in enumerate(completions)
                       if raw_predict(model, full) in targets), None)

@@ -13,7 +13,7 @@ from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, ModelError, Split, TreeStructure,
                           validated)
 from dualxp.oracle import (Oracle, SearchSpaceExceeded, _tree_disagreement_sets,
-                           raw_predict)
+                           _tree_target, raw_predict)
 from dualxp.synth import (random_instance, random_space, random_tree,
                           synthetic_ensemble)
 
@@ -174,6 +174,62 @@ def test_tree_oracle_matches_brute_force(small_corpus):
     ]
     for tree, instance in corpus:
         _check_against_completions(tree, instance)
+
+
+def _random_ranges(rng, space, values):
+    """Per feature, a range of one of the kinds the oracle's loops search:
+    the whole domain ascending or reordered, the instance's value alone or
+    first, the domain without the instance's value, or a random subset."""
+    ranges = []
+    for f, v in enumerate(values):
+        domain = list(range(space.domain_size(f)))
+        others = [w for w in domain if w != v]
+        rng.shuffle(others)
+        kind = rng.randrange(6)
+        if kind == 0:
+            r = domain
+        elif kind == 1:
+            r = rng.sample(domain, len(domain))
+        elif kind == 2 or not others:
+            r = [v]
+        elif kind == 3:
+            r = [v] + sorted(others)
+        elif kind == 4:
+            r = others
+        else:
+            r = rng.sample(domain, rng.randint(1, len(domain)))
+        ranges.append(tuple(r))
+    return ranges
+
+
+def test_tree_target_matches_brute_force():
+    # the path search finds a completion exactly when one of the product
+    # of the ranges reaches the targets, and what it finds is such a one
+    rng = random.Random(53)
+    trees = [shared_chain(6), shared_children_tree()]
+    for _ in range(30):
+        space = random_space(rng, rng.randint(2, 6), (2, 4))
+        trees.append(random_tree(rng, space, rng.randint(2, 3), max_depth=5))
+        space = random_space(rng, rng.randint(2, 6), (2, 4))
+        trees.append(random_shared_tree(rng, space, rng.randint(2, 3),
+                                        rng.randint(2, 16)))
+    outcomes = {"found": 0, "none": 0}
+    for tree in trees:
+        for _ in range(12):
+            values = random_instance(rng, tree.space).values
+            ranges = _random_ranges(rng, tree.space, values)
+            targets = frozenset(rng.sample(range(tree.n_classes),
+                                           rng.randint(1, tree.n_classes)))
+            reaching = {full for full in itertools.product(*ranges)
+                        if raw_predict(tree, full) in targets}
+            found = _tree_target(tree.tree, ranges, targets)
+            if found is None:
+                assert not reaching
+                outcomes["none"] += 1
+            else:
+                assert found in reaching
+                outcomes["found"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_entails_iff_no_counterexample(small_corpus):
