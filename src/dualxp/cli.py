@@ -25,7 +25,7 @@ from .explain import (AXp, CXp, check_axp, check_cxp, cxp_witness, extract_axp,
 from .hitting import DEFAULT_NODE_BUDGET
 from .model import Classifier, FeatureSpace, Instance, ModelError
 from .modelio import ParseError, parse_instances, parse_model
-from .oracle import DEFAULT_COMPLETION_CAP, Oracle, SearchSpaceExceeded
+from .oracle import DEFAULT_COMPLETION_CAP, Oracle
 from .reporting import collect_stats
 
 EXIT_OK = 0
@@ -313,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE_CLOSED
-    except (BudgetExceeded, SearchSpaceExceeded) as e:
+    except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ParseError, ModelError) as e:

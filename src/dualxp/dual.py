@@ -9,12 +9,13 @@ On an ensemble one grow call settles it: `Oracle.maximal_reaching` from the
 candidate kept finds no target completion if the candidate is a new AXp,
 and otherwise grows it to a maximal kept set whose complement is a new CXp
 disjoint from the candidate, guaranteeing progress.  Its searches try the
-instance's value first; `find_counterexample`, which stays lexicographic,
-is not called.  A decision tree first gets every CXp from one walk of its
-paths (each CXp is a minimal disagreement set of a path to a target leaf),
-so every later proposal is an AXp with no oracle query.
-`iterate_explanations` is the one entry point: a CXp-only enumeration is
-its output with the AXps left out.
+instance's value first; `find_counterexample` is not called.  A decision
+tree first gets every CXp from one walk of its paths (each CXp is a minimal
+disagreement set of a path to a target leaf), so every later proposal is an
+AXp with no oracle query.
+`iterate_explanations` is the one entry point, a lazy stream: a CXp-only
+enumeration is its output with the AXps left out, and `enumerate_all`
+drains it.
 """
 from __future__ import annotations
 
@@ -38,9 +39,9 @@ class TooLarge(ModelError):
 
 @dataclass
 class EnumerationState:
-    """What an enumeration has reported, which seeds a later call on the
-    same problem: AXps (whose supersets the hitting-set solver must avoid),
-    CXps (which every new candidate must hit), and the iterations taken."""
+    """What one `enumerate_all` call reported: its AXps, its CXps, and the
+    iterations it took, one per explanation plus the last, which finds that
+    there are no more."""
 
     axps: list[AXp] = field(default_factory=list)
     cxps: list[CXp] = field(default_factory=list)
@@ -51,20 +52,16 @@ def iterate_explanations(problem: ExplanationProblem,
                          order: Optional[Sequence[int]] = None,
                          smallest: bool = False,
                          mhs_budget: int = DEFAULT_NODE_BUDGET,
-                         state: Optional[EnumerationState] = None,
                          ) -> Iterator[Union[AXp, CXp]]:
     """Yield every AXp and every basic CXp exactly once, each as it is found.
 
-    Each explanation is also appended to `state`, so a caller that stops
-    early still sees what was found and how many iterations it took; the
-    explanations a `state` already holds seed the search, so a later call
-    reports each one not yet found, once: on a tree in the order of an
-    uninterrupted call, on an ensemble possibly in another.  One
-    hitting-set solver serves the whole call: each AXp is blocked in it and
-    each CXp is added as a set to hit.  Each iteration reports one
-    explanation, and the last one finds that there are no more.  With
+    The stream is lazy, so a caller that stops early pays only for what it
+    took.  One hitting-set solver serves the whole call: each AXp is blocked
+    in it and each CXp is added as a set to hit.  Each explanation costs one
+    iteration, and one last iteration finds that there are no more.  With
     `smallest=True` the AXps are minimum-cardinality hitting sets, so they
-    come out in non-decreasing size order.
+    come out in non-decreasing size order.  BudgetExceeded once more than
+    DEFAULT_MAX_EXPLANATIONS are reported.
 
     A decision tree yields its CXps first, all taken from one walk of its
     paths and sorted by size, then by their features' positions in `order`;
@@ -72,30 +69,21 @@ def iterate_explanations(problem: ExplanationProblem,
     the oracle about each answer, and yields the two kinds interleaved as it
     finds them.
     """
-    if state is None:
-        state = EnumerationState()
     tau = problem.instance
     oracle = problem.oracle
     ord_ = _order(problem, order)
     solver = HittingSetSolver(ord_, smallest, mhs_budget)
-    for c in state.cxps:
-        solver.add_to_hit(c.features)
-    for a in state.axps:
-        solver.add_blocked(a.features)
     # a tree's walk finds its complete CXp family, so once that is added to
     # the solver every answer is an AXp; an ensemble's CXps come one by one
     walked: Iterator[frozenset[int]] = iter(())
     is_tree = isinstance(oracle.classifier, DecisionTree)
     if is_tree:
         position = {f: i for i, f in enumerate(ord_)}
-        reported = {c.features for c in state.cxps}
         walked = iter(sorted(
-            (c for c in _tree_disagreement_sets(oracle.classifier.tree, tau.values,
-                                                problem.targets)
-             if c not in reported),
+            _tree_disagreement_sets(oracle.classifier.tree, tau.values,
+                                    problem.targets),
             key=lambda c: (len(c), sorted(position[f] for f in c))))
-    while True:
-        state.iterations += 1
+    for reported in itertools.count(1):
         features = next(walked, None)
         if features is not None:
             found: Union[AXp, CXp] = CXp(features, problem.targets)
@@ -118,8 +106,7 @@ def iterate_explanations(problem: ExplanationProblem,
                 found = CXp(frozenset(range(problem.n_features)) - kept,
                             problem.targets)
                 solver.add_to_hit(found.features)
-        (state.axps if isinstance(found, AXp) else state.cxps).append(found)
-        if len(state.axps) + len(state.cxps) > DEFAULT_MAX_EXPLANATIONS:
+        if reported > DEFAULT_MAX_EXPLANATIONS:
             raise BudgetExceeded(
                 f"more than {DEFAULT_MAX_EXPLANATIONS} explanations reported")
         yield found
@@ -132,11 +119,16 @@ def enumerate_all(problem: ExplanationProblem,
                   state: Optional[EnumerationState] = None,
                   ) -> tuple[list[AXp], list[CXp]]:
     """Complete enumeration of both explanation families, in discovery
-    order within each family (see `iterate_explanations`)."""
+    order within each family (see `iterate_explanations`).  A `state`
+    passed in receives the families and the iterations taken; ValueError
+    if it already holds anything."""
     if state is None:
         state = EnumerationState()
-    for _ in iterate_explanations(problem, order, smallest, mhs_budget, state):
-        pass
+    elif state != EnumerationState():
+        raise ValueError("enumerate_all needs a new EnumerationState")
+    for found in iterate_explanations(problem, order, smallest, mhs_budget):
+        (state.axps if isinstance(found, AXp) else state.cxps).append(found)
+    state.iterations = len(state.axps) + len(state.cxps) + 1
     return state.axps, state.cxps
 
 

@@ -6,8 +6,9 @@ per feature), which `Oracle.minimal_sufficient` runs, and a CXp from the
 grow-to-maximal pass over the features kept fixed, which
 `Oracle.maximal_reaching` runs, reusing the last witness to skip searches
 that cannot fail; `dualxp.oracle` says how each loop searches.  A CXp's
-printed witness, `cxp_witness`, is the lexicographically first completion,
-which `Oracle.find_counterexample` returns.
+printed witness, `cxp_witness`, is the completion that one
+`Oracle.find_counterexample` search returns: the lexicographically first
+on an ensemble, the first target path depth first on a tree.
 """
 from __future__ import annotations
 

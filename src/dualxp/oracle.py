@@ -27,8 +27,8 @@ A deletion probe of feature f searches only the completions that move f off
 its instance value, because those that keep it were refuted under the last
 kept set.
 A tree's path search takes each split's range in listed order, so it is
-depth first, not lexicographic: `find_counterexample` lowers each free
-feature in turn to its least value that keeps a target reachable.
+depth first, not lexicographic: `find_counterexample`'s witness follows
+the first target path, each other free feature at its least value.
 On a decision tree every walk, predictions and path searches alike, reads
 the flat node arrays that each tree compiles once (`TreeStructure.arrays`),
 since its searches need node ids.  An ensemble prediction walks linked nodes
@@ -58,13 +58,13 @@ import itertools
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
-from .hitting import _covers
+from .hitting import BudgetExceeded, _covers
 from .model import Classifier, DecisionTree, Instance, ModelError, TreeStructure
 
 DEFAULT_COMPLETION_CAP = 2 ** 20
 
 
-class SearchSpaceExceeded(ModelError):
+class SearchSpaceExceeded(BudgetExceeded):
     """One ensemble search visited the completion cap's number of
     completions, found no target among them, and had more to visit."""
 
@@ -272,9 +272,7 @@ class Oracle:
     `entails`, `reaches` and `find_counterexample` take an instance and the
     set of its features kept at their instance values; every other feature
     is free.  Every query checks its instance as `predict` does.
-    Each is one search over per-feature value ranges (`_first_target`), plus,
-    on a decision tree, one more per value tried below the first target's
-    when lowering it to the lexicographically first counterexample.
+    Each is one search over per-feature value ranges (`_first_target`).
     `minimal_sufficient` runs a whole AXp deletion loop, on a tree as one
     region walk, and `maximal_reaching` a whole CXp grow loop, one search
     per feature the last witness disagrees on.
@@ -433,36 +431,17 @@ class Oracle:
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int]) -> Optional[Instance]:
-        """The lexicographically first completion of the `kept` features of
-        `instance` that predicts into `targets`, or None if there is none."""
+        """The first completion of the `kept` features of `instance` that
+        predicts into `targets` in one search over ascending ranges, or None
+        if there is none.  On an ensemble that is the lexicographically first
+        such completion; on a tree it follows the first target path that
+        `_tree_target` finds, every other free feature at its least value."""
         self.space.check_instance(instance)
         if not targets:
             raise ValueError("targets must be non-empty")
         self.stats.witness_calls += 1
-        targets = frozenset(targets)
-        ranges = self._ranges(instance, kept)
-        found = self._first_target(ranges, targets)
-        if found is None:
-            return None
-        if isinstance(self.classifier, DecisionTree):
-            # a path search is depth first, not lexicographic: fix the free
-            # features in order, each to its least value that keeps a target
-            # reachable.  The last completion found still reaches one, so
-            # its value w needs no search; only the values below w do, and a
-            # completion found for one of them replaces it.
-            tree = self.classifier.tree
-            for f, r in enumerate(ranges):
-                if len(r) == 1:
-                    continue
-                for v in range(found[f]):
-                    ranges[f] = (v,)
-                    lower = _tree_target(tree, ranges, targets)
-                    if lower is not None:
-                        found = lower
-                        break
-                else:
-                    ranges[f] = (found[f],)
-        return Instance(found)
+        found = self._first_target(self._ranges(instance, kept), targets)
+        return None if found is None else Instance(found)
 
     # internal machinery (not counted in stats)
 

@@ -112,6 +112,36 @@ def random_shared_tree(rng: random.Random, space: FeatureSpace, n_classes: int,
         TreeStructure(kept, len(kept) - 1)))
 
 
+def first_target_path(tree: TreeStructure, ranges, targets):
+    """Reference for a decision tree's witness search: a recursive preorder
+    walk of the Leaf and Split objects, with no memory of visited nodes,
+    that tries each split's children in the order of its feature's range.
+    The first leaf with class in `targets` wins, and the completion takes
+    the branch values on its path and each other feature's first listed
+    value; None if it reaches no such leaf."""
+    def walk(node_id, path):
+        node = tree.nodes[node_id]
+        if isinstance(node, Leaf):
+            return path if node.value in targets else None
+        for v in ranges[node.feature]:
+            found = walk(node.children[v], {**path, node.feature: v})
+            if found is not None:
+                return found
+        return None
+
+    path = walk(tree.root, {})
+    if path is None:
+        return None
+    return tuple(path.get(f, r[0]) for f, r in enumerate(ranges))
+
+
+def ascending_ranges(space: FeatureSpace, instance: Instance, kept):
+    """Per feature, the instance's value alone if it is in `kept`, else
+    the feature's whole domain in ascending order."""
+    return [(v,) if f in kept else tuple(range(space.domain_size(f)))
+            for f, v in enumerate(instance.values)]
+
+
 def make_corpus(n_models: int, instances_per_model: int = 5, seed: int = 7,
                 max_features: int = 6):
     """Random (tree, instance) pairs for cross-checking against brute force."""

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -16,7 +15,7 @@ from dualxp.dual import (
     verify_duality,
 )
 from dualxp.explain import AXp, CXp, check_axp, check_cxp, make_problem
-from dualxp.model import DecisionTree, Instance, ModelError
+from dualxp.model import Instance, ModelError
 from dualxp.modelio import parse_instances
 from dualxp.oracle import Oracle
 from dualxp.reporting import collect_stats
@@ -41,44 +40,32 @@ def test_enumerate_cxps_goldens(poole, e1, e2):
     ]
 
 
-def test_iterate_explanations_stops_early(poole, e2):
+def test_iterate_explanations_stops_early():
+    # the stream is lazy, which `enum --limit` relies on: on a bundled
+    # ensemble row, taking the first explanation asks the oracle fewer
+    # queries than draining the stream
+    ensemble = synthetic_ensemble_model()
+    instance = parse_instances(synthetic_instances_csv(), ensemble.space)[0]
+    taken = problem_for(ensemble, instance)
+    first = next(iterate_explanations(taken))
+    drained = problem_for(ensemble, instance)
+    full = list(iterate_explanations(drained))
+    assert len(full) > 1 and full[0] == first
+    assert taken.oracle.stats.total_calls < drained.oracle.stats.total_calls
+
+
+def test_enumerate_all_rejects_a_used_state(poole, e2):
+    # a state that holds anything is refused and left as it was
     state = EnumerationState()
-    first = next(iterate_explanations(problem_for(poole, e2), state=state))
-    assert state.iterations == 1
-    assert state.axps + state.cxps == [first]
-
-
-def test_iterate_explanations_continues_from_state(small_corpus):
-    # a new call on a state that already holds explanations picks up the
-    # enumeration where the first call stopped: it reports each explanation
-    # the first call did not, once.  A tree's walk and its solver's answers
-    # do not depend on where the first call stopped, so there the second
-    # call reports exactly the rest of a full run.  On an ensemble, a full
-    # run's solver resumes its search after each CXp, while the second call
-    # seeds a new solver with the first call's CXps, so the order may differ
-    shared = shared_children_tree()
-    ensemble = synthetic_ensemble(n_features=5, trees_per_class=3)
-    rng = random.Random(5)
-    inputs = small_corpus[:20] + [
-        (shared, Instance((1, 0, 1))), (shared, Instance((0, 2, 0))),
-    ] + [(ensemble, random_instance(rng, ensemble.space)) for _ in range(3)]
-    for seed in (0, 1):
-        wider = synthetic_ensemble(seed, n_features=8, trees_per_class=4, depth=3)
-        inputs += [(wider, random_instance(rng, wider.space)) for _ in range(3)]
-    for model, instance in inputs:
-        problem = problem_for(model, instance)
-        for smallest in (False, True):
-            full = list(iterate_explanations(problem, smallest=smallest))
-            for stop in range(len(full) + 1):
-                state = EnumerationState()
-                head = list(itertools.islice(
-                    iterate_explanations(problem, smallest=smallest, state=state), stop))
-                tail = list(iterate_explanations(problem, smallest=smallest, state=state))
-                if isinstance(model, DecisionTree):
-                    assert head + tail == full
-                else:
-                    assert len(set(head + tail)) == len(head + tail)
-                    assert set(head + tail) == set(full)
+    axps, cxps = enumerate_all(problem_for(poole, e2), state=state)
+    used = [state, EnumerationState(cxps=[CXp(frozenset({L}), frozenset({SKIPS}))]),
+            EnumerationState(iterations=1)]
+    for s in used:
+        before = repr(s)
+        with pytest.raises(ValueError):
+            enumerate_all(problem_for(poole, e2), state=s)
+        assert repr(s) == before
+    assert (state.axps, state.cxps) == (axps, cxps)
 
 
 def test_bundled_ensemble_enumeration_is_pinned():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (A, L, READS, SKIPS, T, W, e3_fixture, random_shared_tree,
-                      shared_chain)
+from conftest import (A, L, READS, SKIPS, T, W, ascending_ranges, e3_fixture,
+                      first_target_path, random_shared_tree, shared_chain)
 from dualxp.bundled import synthetic_ensemble_model, synthetic_instances_csv
 from dualxp.dual import (_completion_predictions, brute_force_corrections,
                          brute_force_explanations, enumerate_all)
@@ -290,9 +290,7 @@ def _reference_cxp(classifier, instance, targets, order):
 def _first_target_completion(classifier, instance, fixed, targets):
     """The lexicographically first completion of the `fixed` features that
     predicts into `targets`, by trying every completion in order."""
-    space = classifier.space
-    ranges = [(v,) if f in fixed else range(space.domain_size(f))
-              for f, v in enumerate(instance.values)]
+    ranges = ascending_ranges(classifier.space, instance, fixed)
     return next(full for full in itertools.product(*ranges)
                 if raw_predict(classifier, full) in targets)
 
@@ -300,7 +298,8 @@ def _first_target_completion(classifier, instance, fixed, targets):
 def test_cxp_grow_matches_brute_force_reference():
     # the grow accepts any target completion as its witness; the CXp must
     # still be the one a plain grow deciding each step by brute force finds,
-    # and the printed witness still the lexicographically first
+    # and the printed witness the first target path of a plain preorder
+    # walk of the tree's node objects
     rng = random.Random(29)
     models = [shared_chain(6)]
     for _ in range(120):
@@ -327,8 +326,9 @@ def test_cxp_grow_matches_brute_force_reference():
                     continue
                 assert cxp.features == expected
                 witness = cxp_witness(problem, cxp)
-                first = _first_target_completion(
-                    model, instance, set(order) - cxp.features, problem.targets)
+                first = first_target_path(model.tree, ascending_ranges(
+                    model.space, instance, set(order) - cxp.features),
+                    problem.targets)
                 assert witness.replacement == PartialAssignment.of(
                     (f, first[f]) for f in cxp.features)
                 assert witness.witness_class == raw_predict(model, first)

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from conftest import (A, L, READS, SKIPS, T, W, random_shared_tree,
-                      shared_chain, shared_children_tree)
+from conftest import (A, L, READS, SKIPS, T, W, ascending_ranges,
+                      first_target_path, random_shared_tree, shared_chain,
+                      shared_children_tree)
 from dualxp.explain import check_cxp, extract_axp, extract_cxp, make_problem
+from dualxp.hitting import BudgetExceeded
 from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
                           Instance, Leaf, ModelError, Split, TreeStructure,
                           validated)
@@ -132,12 +134,8 @@ def _reference_predict(classifier, values):
 def _completions(classifier, instance, kept):
     """Every completion of the kept features of `instance`, in lexicographic
     order, with its prediction by the reference walk."""
-    space = classifier.space
-    domains = [
-        (instance.values[f],) if f in kept else range(space.domain_size(f))
-        for f in range(space.n_features)
-    ]
-    for values in itertools.product(*domains):
+    ranges = ascending_ranges(classifier.space, instance, kept)
+    for values in itertools.product(*ranges):
         yield values, _reference_predict(classifier, values)
 
 
@@ -147,9 +145,10 @@ def _target_sets(n_classes):
 
 
 def _check_against_completions(classifier, instance):
-    """Over every kept subset: `entails` for every class and
-    `find_counterexample` for every non-empty target set against the
-    lexicographically ordered completions."""
+    """Over every kept subset: `entails` for every class against the
+    completions, and `find_counterexample` for every non-empty target set
+    against the lexicographically first target completion on an ensemble,
+    and on a tree against `first_target_path`'s over ascending ranges."""
     oracle = Oracle(classifier)
     n = instance.n_features
     for kept in map(set, itertools.chain.from_iterable(
@@ -159,14 +158,23 @@ def _check_against_completions(classifier, instance):
             assert oracle.entails(instance, kept, c) == all(
                 p == c for _, p in completions)
         for targets in _target_sets(classifier.n_classes):
-            first = next(
-                (Instance(v) for v, p in completions if p in targets), None)
+            if isinstance(classifier, DecisionTree):
+                path = first_target_path(
+                    classifier.tree,
+                    ascending_ranges(classifier.space, instance, kept), targets)
+                assert (path is None) == all(p not in targets
+                                             for _, p in completions)
+                first = None if path is None else Instance(path)
+            else:
+                first = next(
+                    (Instance(v) for v, p in completions if p in targets), None)
             assert oracle.find_counterexample(instance, kept, targets) == first
 
 
 def test_tree_oracle_matches_brute_force(small_corpus):
-    # every kept subset and every non-empty target set, against exhaustive
-    # enumeration of the completions in lexicographic order
+    # every kept subset and every non-empty target set: entailment against
+    # exhaustive enumeration of the completions, and the witness against a
+    # plain preorder walk of the tree's node objects
     shared = shared_children_tree()
     corpus = small_corpus + [
         (shared, Instance(values))
@@ -204,7 +212,8 @@ def _random_ranges(rng, space, values):
 
 def test_tree_target_matches_brute_force():
     # the path search finds a completion exactly when one of the product
-    # of the ranges reaches the targets, and what it finds is such a one
+    # of the ranges reaches the targets, and what it finds is such a one:
+    # the first target path of a plain preorder walk over the ranges
     rng = random.Random(53)
     trees = [shared_chain(6), shared_children_tree()]
     for _ in range(30):
@@ -228,6 +237,7 @@ def test_tree_target_matches_brute_force():
                 outcomes["none"] += 1
             else:
                 assert found in reaching
+                assert found == first_target_path(tree.tree, ranges, targets)
                 outcomes["found"] += 1
     assert min(outcomes.values()) > 100, outcomes
 
@@ -410,6 +420,18 @@ def test_ensemble_cap():
             oracle.reaches(point, kept, to_c1)
         with pytest.raises(SearchSpaceExceeded, match=too_many):
             oracle.find_counterexample(point, kept, to_c1)
+
+
+def test_cap_hit_is_a_budget_error_not_a_model_error():
+    # one `except BudgetExceeded` catches both budgets, and a caller's
+    # `except ModelError` for bad input no longer catches a cap hit
+    assert issubclass(SearchSpaceExceeded, BudgetExceeded)
+    assert not issubclass(SearchSpaceExceeded, ModelError)
+    ensemble = synthetic_ensemble(n_features=6, trees_per_class=3)
+    oracle = Oracle(ensemble, completion_cap=1)
+    point = random_instance(random.Random(2), ensemble.space)
+    with pytest.raises(BudgetExceeded, match="the completion cap"):
+        oracle.entails(point, set(), oracle.predict(point))
 
 
 def test_capped_queries_raise_or_give_the_uncapped_answer():
