@@ -139,9 +139,12 @@ def cmd_cxp(args) -> int:
     order = _parse_order(args.order, space)
     targets = _parse_targets(args.target, classifier)
     cap, _ = _budgets()
-    for instance in instances:
-        problem = make_problem(Oracle(classifier, completion_cap=cap), instance,
-                               targets=targets)
+    for row, instance in enumerate(instances):
+        try:
+            problem = make_problem(Oracle(classifier, completion_cap=cap),
+                                   instance, targets=targets)
+        except ModelError as e:
+            raise ModelError(f"row {row}: {e}") from None
         if targets is None:
             cxp = extract_cxp(problem, order=order)
         else:

@@ -133,10 +133,11 @@ def targeted_cxp(problem: ExplanationProblem,
 
 
 def cxp_witness(problem: ExplanationProblem, cxp: CXp) -> CxpWitness:
-    """Deterministic replacement values for the CXp's features."""
+    """Deterministic replacement values for the CXp's features, into the
+    CXp's own `targets`, which `check_cxp` checks too."""
     tau = problem.instance
     fixed = frozenset(range(problem.n_features)) - cxp.features
-    w = problem.oracle.find_counterexample(tau, fixed, problem.targets)
+    w = problem.oracle.find_counterexample(tau, fixed, cxp.targets)
     if w is None:
         raise RuntimeError("internal defect: no witness exists for a valid CXp")
     replacement = PartialAssignment.of((f, w.values[f]) for f in cxp.features)

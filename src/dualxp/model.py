@@ -1,13 +1,13 @@
 """Domain types: categorical feature spaces, literals, instances and tree classifiers.
 
 All types are frozen dataclasses and safe to share across workers once validated.
-Trees are built and validated as `Leaf`/`Split` node objects.  A decision
-tree's walks read the flat arrays of `TreeStructure.arrays` instead, compiled
-lazily on first use and cached on the tree object, so every oracle over one
-classifier shares them.  An ensemble's predictions walk linked nodes,
-`AdditiveEnsemble.linked_trees`, built straight from its trees' node objects
-on the first prediction and cached on the ensemble in the same way; an
-ensemble's trees never compile arrays.
+Trees are built and validated as `Leaf`/`Split` node objects.  Every walk,
+a decision tree's and an ensemble's alike, reads one compiled form instead:
+`TreeStructure.linked`, the tree's root as a linked node, built from its
+node objects on first use and cached on the tree object, so every oracle
+over one classifier shares it.  A split is (feature, tuple of its child
+nodes by value) and a leaf (-1, value), so each step of a walk is one
+subscript by value and one unpack.
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
 `Leaf` and `Split` use slots, since a large tree holds tens of thousands of
@@ -173,16 +173,34 @@ class TreeStructure:
     root: int
 
     @functools.cached_property
-    def arrays(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
-                              tuple[int, ...]]:
-        """Per node id: its split feature (-1 for a leaf), its children (empty
-        for a leaf) and its leaf value (0 for a split).  Only a decision
-        tree's walks read them; an ensemble links its trees from `nodes`."""
-        return (
-            tuple(-1 if isinstance(n, Leaf) else n.feature for n in self.nodes),
-            tuple(() if isinstance(n, Leaf) else n.children for n in self.nodes),
-            tuple(n.value if isinstance(n, Leaf) else 0 for n in self.nodes),
-        )
+    def linked(self) -> tuple:
+        """The root as a linked node, built on first use and kept.  A split
+        is (feature, tuple of its child nodes by value) and a leaf (-1,
+        value), so a walk from the root is `while f >= 0: f, x = x[values[f]]`,
+        one unpack per step.  There is one linked node per node id, and one
+        linked leaf per leaf value, so shared children stay shared and,
+        while the tree lives, a walk may key the nodes it has visited on
+        their `id`.  The stack holds (node id, ready): a split is linked once
+        its children are, and no recursion limits the depth."""
+        nodes = self.nodes
+        linked: list[Optional[tuple]] = [None] * len(nodes)
+        leaves: dict[int, tuple] = {}
+        stack = [(self.root, False)]
+        while stack:
+            node_id, ready = stack.pop()
+            if linked[node_id] is not None:
+                continue
+            node = nodes[node_id]
+            if isinstance(node, Leaf):
+                linked[node_id] = leaves.setdefault(node.value, (-1, node.value))
+            elif ready:
+                linked[node_id] = (node.feature,
+                                   tuple([linked[kid] for kid in node.children]))
+            else:
+                stack.append((node_id, True))
+                stack.extend([(kid, False) for kid in node.children
+                              if linked[kid] is None])
+        return linked[self.root]
 
 
 @dataclass(frozen=True)
@@ -216,36 +234,9 @@ class AdditiveEnsemble:
 
     @functools.cached_property
     def linked_trees(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per class, the root of each tree as a linked node, built on the
-        first prediction and kept.  A split is (feature, tuple of its child
-        nodes by value) and a leaf is (-1, score), so a walk from a root is
-        `while f >= 0: f, x = x[values[f]]`, one unpack per step."""
-        return tuple(tuple(map(_linked_root, group)) for group in self.trees)
-
-
-def _linked_root(tree: TreeStructure) -> tuple:
-    """`tree`'s root as a linked node, built bottom-up from its node objects
-    with one linked node per node id, so shared children stay shared.  The
-    stack holds (node id, ready): a split is linked once its children are,
-    and no recursion limits the depth."""
-    nodes = tree.nodes
-    linked: list[Optional[tuple]] = [None] * len(nodes)
-    stack = [(tree.root, False)]
-    while stack:
-        node_id, ready = stack.pop()
-        if linked[node_id] is not None:
-            continue
-        node = nodes[node_id]
-        if isinstance(node, Leaf):
-            linked[node_id] = (-1, node.value)
-        elif ready:
-            linked[node_id] = (node.feature,
-                               tuple([linked[kid] for kid in node.children]))
-        else:
-            stack.append((node_id, True))
-            stack.extend([(kid, False) for kid in node.children
-                          if linked[kid] is None])
-    return linked[tree.root]
+        """Per class, the linked root of each tree (`TreeStructure.linked`),
+        gathered on the first prediction and kept."""
+        return tuple(tuple(t.linked for t in group) for group in self.trees)
 
 
 Classifier = Union[DecisionTree, AdditiveEnsemble]

@@ -11,8 +11,9 @@ validation, so a parse peaks barely above the document itself.  Within one
 model, leaves with equal values share one `Leaf` object and splits with equal
 child ids share one `children` tuple.  The trees of an ensemble often repeat
 child-id tuples (63 distinct ones among the 6,300 splits of the benchmark's
-ensemble-deep model), so sharing them saves memory.  It does not speed up
-an ensemble's predictions, which walk its linked nodes, not these tuples.
+ensemble-deep model), so sharing them saves memory, and only that: every
+walk follows the tree's linked nodes (`TreeStructure.linked`), not these
+tuples.
 """
 from __future__ import annotations
 

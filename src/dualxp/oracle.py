@@ -29,12 +29,14 @@ kept set.
 A tree's path search takes each split's range in listed order, so it is
 depth first, not lexicographic: `find_counterexample`'s witness follows
 the first target path, each other free feature at its least value.
-On a decision tree every walk, predictions and path searches alike, reads
-the flat node arrays that each tree compiles once (`TreeStructure.arrays`),
-since its searches need node ids.  An ensemble prediction walks linked nodes
-instead (`AdditiveEnsemble.linked_trees`, built from the tree's node objects
-on the first prediction): a split is (feature, child nodes) and a leaf
-(-1, score), so each step is one subscript by value and one unpack.
+Every walk, on a decision tree and on each tree of an ensemble, follows the
+linked nodes that the tree compiles once (`TreeStructure.linked`): a split
+is (feature, child nodes) and a leaf (-1, value), so each step is one
+subscript by value and one unpack.  The tree walks below key the nodes they
+have visited on `id(node)`; the tree's cache keeps every linked node alive,
+and there is one per node id, so a node is expanded at most once however
+many paths reach it.  Equal leaves share one linked leaf, which is sound
+because a leaf's verdict depends on its value alone.
 Every public query bumps the per-session OracleStats exactly once, except
 `minimal_sufficient` and `maximal_reaching`, which count the queries of the
 deletion and grow loops they stand for.
@@ -50,7 +52,7 @@ feature, so the witness agrees with the instance on as many features as
 that search allows and those features join with no search of their own.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
-of an instance in one walk of the same arrays.
+of an instance in one walk of the same linked nodes.
 """
 from __future__ import annotations
 
@@ -85,13 +87,11 @@ class OracleStats:
 def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
     """Class index for a full assignment, bypassing any oracle bookkeeping."""
     if isinstance(classifier, DecisionTree):
-        feature, children, value = classifier.tree.arrays
-        node = classifier.tree.root
-        f = feature[node]
+        # x is a split's child nodes, then the leaf's class once f < 0
+        f, x = classifier.tree.linked
         while f >= 0:
-            node = children[node][values[f]]
-            f = feature[node]
-        return value[node]
+            f, x = x[values[f]]
+        return x
     scores = []
     for group in classifier.linked_trees:
         score = 0
@@ -117,19 +117,19 @@ def _tree_target(tree: TreeStructure, ranges: Sequence[tuple[int, ...]],
     whether a target leaf is reachable from a node does not depend on the
     path to it, because no feature repeats on a path.
     """
-    feature, children, value = tree.arrays
-    seen: set[int] = set()
-    # entries are (node id, link); a link is (parent link, feature, value)
-    # for each branch on the way down off its feature's first listed value,
-    # or None
-    stack: list[tuple[int, Optional[tuple]]] = [(tree.root, None)]
+    seen: set[int] = set()  # ids of the linked nodes expanded
+    # entries are (node, link); a link is (parent link, feature, value) for
+    # each branch on the way down off its feature's first listed value, or
+    # None
+    stack: list[tuple[tuple, Optional[tuple]]] = [(tree.linked, None)]
     while stack:
-        node_id, link = stack.pop()
-        while node_id not in seen:
-            seen.add(node_id)
-            f = feature[node_id]
+        node, link = stack.pop()
+        key = id(node)
+        while key not in seen:
+            seen.add(key)
+            f, x = node
             if f < 0:
-                if value[node_id] in targets:
+                if x in targets:
                     full = [r[0] for r in ranges]
                     while link is not None:
                         link, f, v = link
@@ -139,11 +139,11 @@ def _tree_target(tree: TreeStructure, ranges: Sequence[tuple[int, ...]],
             # go on at the first listed value, which the completion takes
             # unless a link says otherwise; push the rest, last one first
             r = ranges[f]
-            kids = children[node_id]
             if len(r) > 1:
                 for v in r[:0:-1]:
-                    stack.append((kids[v], (link, f, v)))
-            node_id = kids[r[0]]
+                    stack.append((x[v], (link, f, v)))
+            node = x[r[0]]
+            key = id(node)
     return None
 
 
@@ -162,47 +162,46 @@ def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
     do not depend on the path to it, because no feature repeats on a path,
     so every node joins R at most once and a probe finds no split on f.
     """
-    feature, children, value = tree.arrays
     kept = set(candidates)
     fixed: list[Optional[int]] = [v if f in kept else None
                                   for f, v in enumerate(values)]
-    region: set[int] = set()
-    splits: dict[int, list[int]] = {f: [] for f in kept}
+    region: set[int] = set()  # ids of the linked nodes in R
+    splits: dict[int, list[tuple]] = {f: [] for f in kept}  # their children
 
-    def grow(stack: list[int]) -> bool:
+    def grow(stack: list[tuple]) -> bool:
         # add to R the nodes reachable from `stack`; if that reaches a
         # target leaf, leave R as it was and return False
         found = []
         while stack:
             node = stack.pop()
-            if node in region:
+            key = id(node)
+            if key in region:
                 continue
-            region.add(node)
+            region.add(key)
             found.append(node)
-            f = feature[node]
+            f, x = node
             if f < 0:
-                if value[node] in targets:
-                    region.difference_update(found)
+                if x in targets:
+                    region.difference_update(map(id, found))
                     return False
                 continue
             v = fixed[f]
             if v is None:
-                stack.extend(children[node])
+                stack.extend(x)
             else:
-                stack.append(children[node][v])
-        for node in found:
-            f = feature[node]
+                stack.append(x[v])
+        for f, x in found:
             if f >= 0 and fixed[f] is not None:
-                splits[f].append(node)
+                splits[f].append(x)
         return True
 
-    if not grow([tree.root]):
+    if not grow([tree.linked]):
         return None
     for f in candidates:
         v = values[f]
         fixed[f] = None
-        if grow([kid for node in splits[f]
-                 for w, kid in enumerate(children[node]) if w != v]):
+        if grow([kid for kids in splits[f]
+                 for w, kid in enumerate(kids) if w != v]):
             kept.discard(f)
         else:
             fixed[f] = v
@@ -232,34 +231,32 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
     That rule keeps splits that share children polynomial, where
     remembering only equal masks would not.
     """
-    feature, children, value = tree.arrays
     found: list[int] = []
-    expanded: dict[int, list[int]] = {}  # node id -> masks expanded there
-    level = [(tree.root, 0)]
+    expanded: dict[int, list[int]] = {}  # linked node id -> masks expanded there
+    level = [(tree.linked, 0)]
     while level:
         deeper = []
-        for node_id, mask in level:
+        for node, mask in level:
             if _covers(found, mask):
                 continue
-            f = feature[node_id]
+            f, x = node
             while f >= 0:
-                seen = expanded.get(node_id)
+                seen = expanded.get(id(node))
                 if seen is None:
-                    expanded[node_id] = [mask]
+                    expanded[id(node)] = [mask]
                 elif _covers(seen, mask):
                     break
                 else:
                     seen.append(mask)
-                kids = children[node_id]
                 agree = values[f]
                 differs = mask | 1 << f
                 if not _covers(found, differs):
-                    for v, kid in enumerate(kids):
+                    for v, kid in enumerate(x):
                         if v != agree:
                             deeper.append((kid, differs))
-                node_id = kids[agree]
-                f = feature[node_id]
-            if f < 0 and value[node_id] in targets:
+                node = x[agree]
+                f, x = node
+            if f < 0 and x in targets:
                 found.append(mask)
         level = deeper
     return [frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
@@ -284,10 +281,10 @@ class Oracle:
     One Oracle per explanation session: the stats object and the prediction
     cache are its only mutable state.  The cache is keyed on full value
     tuples and is exact, so sharing it within a session is safe.  The
-    classifier stays immutable and safe to share: the node arrays of a
-    tree's walks and the linked nodes of an ensemble's predictions are
-    built on its first query and cached on the classifier, so all oracles
-    over one classifier object share them.
+    classifier stays immutable and safe to share: each tree's linked nodes,
+    which every walk follows, are built on the first query that needs them
+    and cached on the tree, so all oracles over one classifier object share
+    them.
     """
 
     def __init__(self, classifier: Classifier,

@@ -73,6 +73,18 @@ def test_cxp_targeted(capsys, poole_file, e2_file):
     assert out == "reads: {L=short} -> {L=long} (skips)\n"
 
 
+def test_cxp_target_of_a_row_predicted_into_it(capsys, poole_file, tmp_path):
+    # row 1 is already predicted skips: the rows before it are printed,
+    # and the error names the row
+    path = tmp_path / "two.csv"
+    path.write_text("A,T,L,W\nknown,new,short,work\nknown,new,long,home\n")
+    code, out, err = run(capsys, "cxp", "-m", poole_file, "-i", str(path),
+                         "--target", "skips")
+    assert code == 3
+    assert out == "reads: {L=short} -> {L=long} (skips)\n"
+    assert err == "error: row 1: target classes must exclude the predicted class\n"
+
+
 def test_enum_all_records(capsys, poole_file, e2_file):
     code, out, _ = run(capsys, "enum", "-m", poole_file, "-i", e2_file,
                        "--mode", "all")

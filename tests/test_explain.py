@@ -129,6 +129,17 @@ def test_targeted_three_class(three_class_tree):
         assert witness.witness_class in targets
 
 
+def test_cxp_witness_reaches_the_cxps_own_targets(three_class_tree):
+    # {X} into {k3} is a CXp of X=a under the basic problem too, whose
+    # targets {k2, k3} would give the first target path's class k2
+    problem = problem_for(three_class_tree, Instance((0, 0)))
+    cxp = CXp(frozenset({0}), frozenset({2}))
+    assert check_cxp(problem, cxp) == []
+    witness = cxp_witness(problem, cxp)
+    assert witness.witness_class == 2
+    assert witness.replacement == PartialAssignment.of([(0, 2)])
+
+
 def test_check_axp_on_targeted_questions():
     # X: a -> split Y (0 -> k1, 1 -> k3), b -> k2, c -> k1.  At (a, 0) the
     # AXp against {k2} is {X}, although X alone does not entail k1

@@ -104,8 +104,9 @@ def test_find_counterexample_goldens(poole, e2):
     assert oracle.find_counterexample(e2, {A, T, L, W}, frozenset({READS})) == e2
 
 
-def test_find_counterexample_lexicographic(poole, e2):
-    # free features take the first domain value that keeps the target reachable
+def test_find_counterexample_poole_witnesses(poole, e2):
+    # pins the two witnesses of Poole's tree at e2 with every feature free;
+    # first_target_path checks the general contract on random trees
     oracle = Oracle(poole)
     cex = oracle.find_counterexample(e2, set(), frozenset({SKIPS}))
     assert cex == Instance((0, 0, 0, 0))
@@ -345,15 +346,15 @@ def test_ensemble_oracle_matches_brute_force():
 
 def test_compiled_walk_matches_node_walk(monkeypatch):
     built = []
-    lazy = TreeStructure.__dict__["arrays"]
+    lazy = TreeStructure.__dict__["linked"]
 
     def counted(tree):
         built.append(tree)
         return lazy.func(tree)
 
     counting = functools.cached_property(counted)
-    counting.__set_name__(TreeStructure, "arrays")
-    monkeypatch.setattr(TreeStructure, "arrays", counting)
+    counting.__set_name__(TreeStructure, "linked")
+    monkeypatch.setattr(TreeStructure, "linked", counting)
 
     rng = random.Random(11)
     models = [shared_children_tree()]
@@ -366,7 +367,7 @@ def test_compiled_walk_matches_node_walk(monkeypatch):
     for model in models:
         trees = ([model.tree] if isinstance(model, DecisionTree)
                  else [t for group in model.trees for t in group])
-        assert not any("arrays" in t.__dict__ for t in trees)
+        assert not any("linked" in t.__dict__ for t in trees)
         first, second = Oracle(model), Oracle(model)
         points = [random_instance(rng, model.space) for _ in range(40)]
         for i, point in enumerate(points):
@@ -377,10 +378,9 @@ def test_compiled_walk_matches_node_walk(monkeypatch):
                 scores = [sum(_node_walk(t, point.values) for t in group)
                           for group in model.trees]
                 ties += scores.count(max(scores)) > 1
-        # a decision tree compiles its arrays once, and both oracles share
-        # them; an ensemble links its trees from their nodes, compiling none
-        compiled = [model.tree] if isinstance(model, DecisionTree) else []
-        assert list(map(id, built)) == list(map(id, compiled))
+        # every tree, alone or in an ensemble, compiles its linked form
+        # once, and both oracles share it
+        assert sorted(map(id, built)) == sorted(set(map(id, trees)))
         built.clear()
     assert ties > 0
 
@@ -567,16 +567,26 @@ def _count_linked_nodes(root):
 
 
 def test_linked_ensemble_walk_matches_node_walk():
-    # every point of each space, on trees that share children
+    # every point of each space, on decision trees and ensembles, most of
+    # whose trees share children
     rng = random.Random(19)
     models = [synthetic_ensemble(n_features=6, trees_per_class=3)]
     for n_classes in (2, 3):
         for _ in range(12):
             models.append(_shared_ensemble(rng, rng.randint(2, 4),
                                            rng.randint(1, 4), n_classes))
+    models.append(shared_children_tree())
+    for _ in range(12):
+        space = random_space(rng, rng.randint(2, 4), (2, 4))
+        models.append(random_tree(rng, space, 3, max_depth=5))
+        models.append(random_shared_tree(rng, space, 3, rng.randint(1, 12)))
     ties = 0
     for model in models:
-        assert "linked_trees" not in model.__dict__  # nothing built before a prediction
+        trees = ([model.tree] if isinstance(model, DecisionTree)
+                 else [t for group in model.trees for t in group])
+        # nothing built before a prediction
+        assert "linked_trees" not in model.__dict__
+        assert not any("linked" in t.__dict__ for t in trees)
         first, second = Oracle(model), Oracle(model)
         domains = [range(model.space.domain_size(f))
                    for f in range(model.space.n_features)]
@@ -584,17 +594,21 @@ def test_linked_ensemble_walk_matches_node_walk():
             expected = _reference_predict(model, values)
             assert raw_predict(model, values) == expected
             if i == 0:
-                linked = model.linked_trees
+                roots = [t.linked for t in trees]
             assert (first if i % 2 else second).predict(Instance(values)) == expected
-            scores = [sum(_node_walk(t, values) for t in group)
-                      for group in model.trees]
-            ties += scores.count(max(scores)) > 1
-        # one linked form per ensemble, shared by both oracles, and one
-        # linked node at most per node id, so shared children stay shared
-        assert model.linked_trees is linked
-        for group, roots in zip(model.trees, linked):
-            for tree, root in zip(group, roots):
-                assert _count_linked_nodes(root) <= len(tree.nodes)
+            if isinstance(model, AdditiveEnsemble):
+                scores = [sum(_node_walk(t, values) for t in group)
+                          for group in model.trees]
+                ties += scores.count(max(scores)) > 1
+        # one linked form per tree, shared by both oracles and, in an
+        # ensemble, by its linked_trees; and one linked node at most per
+        # node id, so shared children stay shared
+        assert all(t.linked is root for t, root in zip(trees, roots))
+        if isinstance(model, AdditiveEnsemble):
+            linked = itertools.chain.from_iterable(model.linked_trees)
+            assert list(map(id, linked)) == list(map(id, roots))
+        for tree, root in zip(trees, roots):
+            assert _count_linked_nodes(root) <= len(tree.nodes)
     assert ties > 0
 
 
