@@ -5,14 +5,17 @@ implementations.
 The AXps are exactly the minimal hitting sets of the CXps.  One loop of the
 implicit-hitting-set scheme enumerates both: propose a minimal hitting set
 of the CXps known so far that covers no AXp found so far, then settle it.
-On an ensemble one grow call settles it: `Oracle.maximal_reaching` from the
-candidate kept finds no target completion if the candidate is a new AXp,
-and otherwise grows it to a maximal kept set whose complement is a new CXp
-disjoint from the candidate, guaranteeing progress.  Its searches try the
-instance's value first; `find_counterexample` is not called.  A decision
-tree first gets every CXp from one walk of its paths (each CXp is a minimal
-disagreement set of a path to a target leaf), so every later proposal is an
-AXp with no oracle query.
+On an ensemble one grow call settles it: the grow loop of
+`Oracle.maximal_reaching` from the candidate kept, run without that
+method's checks (`Oracle._grow`), since the instance and the order are
+checked once per enumeration.  It finds no target completion if the
+candidate is a new AXp, and otherwise grows it to a maximal kept set whose
+complement is a new CXp disjoint from the candidate, guaranteeing
+progress.  Its searches try the instance's value first;
+`find_counterexample` is not called.  A decision tree first gets every CXp
+from one walk of its paths (each CXp is a minimal disagreement set of a
+path to a target leaf), so every later proposal is an AXp with no oracle
+query.
 `iterate_explanations` is the one entry point, a lazy stream: a CXp-only
 enumeration is its output with the AXps left out, and `enumerate_all`
 drains it.
@@ -71,6 +74,7 @@ def iterate_explanations(problem: ExplanationProblem,
     """
     tau = problem.instance
     oracle = problem.oracle
+    oracle.space.check_instance(tau)
     ord_ = _order(problem, order)
     solver = HittingSetSolver(ord_, smallest, mhs_budget)
     # a tree's walk finds its complete CXp family, so once that is added to
@@ -93,7 +97,7 @@ def iterate_explanations(problem: ExplanationProblem,
             if candidate is None:
                 return
             kept = (None if is_tree else
-                    oracle.maximal_reaching(tau, candidate, ord_, problem.targets))
+                    oracle._grow(tau.values, candidate, ord_, problem.targets))
             if kept is None:
                 # no completion of the candidate reaches the targets (on a
                 # tree the duality says so with no query); minimality among

@@ -1,13 +1,17 @@
 """Domain types: categorical feature spaces, literals, instances and tree classifiers.
 
 All types are frozen dataclasses and safe to share across workers once validated.
-Trees are built and validated as `Leaf`/`Split` node objects.  Every walk,
-a decision tree's and an ensemble's alike, reads one compiled form instead:
-`TreeStructure.linked`, the tree's root as a linked node, built from its
-node objects on first use and cached on the tree object, so every oracle
-over one classifier shares it.  A split is (feature, tuple of its child
-nodes by value) and a leaf (-1, value), so each step of a walk is one
-subscript by value and one unpack.
+Trees are built and validated as `Leaf`/`Split` node objects.  Predictions
+and searches read one compiled form per classifier instead, built from the
+node objects on first use and cached on the object, so every oracle over
+one classifier shares it:
+- a decision tree's walks read `TreeStructure.linked`, the tree's root as a
+  linked node.  A split is (feature, tuple of its child nodes by value) and
+  a leaf (-1, value), so each step of a walk is one subscript by value and
+  one unpack.  The walks search over ranges of values, not single points;
+- an ensemble predicts a point through `AdditiveEnsemble.scorer`, Python
+  code generated from its trees' nodes and compiled, in which each tree is
+  one expression of nested conditionals (`_compile_scorer`).
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
 `Leaf` and `Split` use slots, since a large tree holds tens of thousands of
@@ -21,7 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 class ModelError(Exception):
@@ -180,26 +184,32 @@ class TreeStructure:
         one unpack per step.  There is one linked node per node id, and one
         linked leaf per leaf value, so shared children stay shared and,
         while the tree lives, a walk may key the nodes it has visited on
-        their `id`.  The stack holds (node id, ready): a split is linked once
-        its children are, and no recursion limits the depth."""
+        their `id`.  Each split is pushed once, with an iterator over its
+        children: a leaf child is linked on the spot, the first unlinked
+        split child is pushed on top, and the split is linked once its
+        iterator runs out.  No recursion limits the depth."""
         nodes = self.nodes
+        root = nodes[self.root]
+        if isinstance(root, Leaf):
+            return (-1, root.value)
         linked: list[Optional[tuple]] = [None] * len(nodes)
         leaves: dict[int, tuple] = {}
-        stack = [(self.root, False)]
+        stack = [(self.root, iter(root.children))]
         while stack:
-            node_id, ready = stack.pop()
-            if linked[node_id] is not None:
-                continue
-            node = nodes[node_id]
-            if isinstance(node, Leaf):
-                linked[node_id] = leaves.setdefault(node.value, (-1, node.value))
-            elif ready:
+            node_id, rest = stack[-1]
+            for kid in rest:
+                if linked[kid] is None:
+                    node = nodes[kid]
+                    if isinstance(node, Leaf):
+                        linked[kid] = leaves.setdefault(node.value, (-1, node.value))
+                    else:
+                        stack.append((kid, iter(node.children)))
+                        break
+            else:
+                stack.pop()
+                node = nodes[node_id]
                 linked[node_id] = (node.feature,
                                    tuple([linked[kid] for kid in node.children]))
-            else:
-                stack.append((node_id, True))
-                stack.extend([(kid, False) for kid in node.children
-                              if linked[kid] is None])
         return linked[self.root]
 
 
@@ -220,7 +230,10 @@ class AdditiveEnsemble:
 
     Prediction is the argmax over classes of the summed scores, ties broken
     by the lowest class index.  `scale` records the fixed-point factor the
-    scores were multiplied by; the arithmetic itself stays exact.
+    scores were multiplied by; the arithmetic itself stays exact.  Points
+    are predicted by `scorer`, straight-line code compiled once from the
+    trees' nodes, in which a tree is one expression of nested conditionals;
+    no linked form of its trees is built.
     """
 
     space: FeatureSpace
@@ -233,13 +246,127 @@ class AdditiveEnsemble:
         return len(self.classes)
 
     @functools.cached_property
-    def linked_trees(self) -> tuple[tuple[tuple, ...], ...]:
-        """Per class, the linked root of each tree (`TreeStructure.linked`),
-        gathered on the first prediction and kept."""
-        return tuple(tuple(t.linked for t in group) for group in self.trees)
+    def scorer(self) -> Callable[[Sequence[int]], int]:
+        """The compiled prediction: a full value tuple's class index, built
+        from the trees' nodes on the first prediction and kept, so every
+        oracle over one ensemble object shares it (`_compile_scorer`).  It
+        trusts its values to lie in their domains."""
+        return _compile_scorer(self)
 
 
 Classifier = Union[DecisionTree, AdditiveEnsemble]
+
+
+INLINE_DEPTH = 32     # nested conditionals a tree's expression inlines
+TREES_PER_CHUNK = 4   # trees summed by one compiled function
+_LITERAL_BOUND = 2 ** 63  # leaf scores smaller in magnitude are written as literals
+
+
+def _walk_from(nodes: Sequence[Node], node_id: int, values: Sequence[int]) -> int:
+    """The value of the leaf that `values` reaches from node `node_id`: what
+    the scorer's code calls for a split nested deeper than INLINE_DEPTH, or
+    for one it has already inlined."""
+    node = nodes[node_id]
+    while isinstance(node, Split):
+        node = nodes[node.children[values[node.feature]]]
+    return node.value
+
+
+def _tree_expression(tree: TreeStructure, name: str, constants: list[int],
+                     where: str) -> str:
+    """`tree`'s leaf score at the value tuple `v`, as one Python expression
+    in which `name` is bound to `tree.nodes`.
+
+    A run of equal children is that child, so a split with one child is its
+    child.  A binary split is `(hi if v[f] else lo)`, and a wider one tests
+    `v[f] < m` at the middle of its children, so it takes about log2 of
+    their number compares.  A leaf is an integer literal; another int (a
+    bool, or one too large to write) is read from `constants`, and a node id
+    is written by `%d`, so no model value's own text enters the source; a
+    leaf or a split feature that is not an int raises ModelError.
+    Each split is inlined at its first reference within INLINE_DEPTH nested
+    conditionals.  Deeper, and at any later reference, the expression calls
+    `walk(name, node id, v)` (`_walk_from`), so the text stays linear in the
+    nodes however many paths share them.  The text is written in order from
+    an explicit stack, so no recursion limits the depth."""
+    nodes = tree.nodes
+    inlined: set[int] = set()
+    out: list[str] = []
+    # entries: text; (node id, depth) for a node; (split id, lo, hi, depth)
+    # for its children lo to hi - 1, where lo <= v[f] < hi is known.  The
+    # depth is the number of conditionals the entry is nested in
+    stack: list = [(tree.root, 0)]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            out.append(entry)
+            continue
+        node_id, depth = entry[0], entry[-1]
+        node = nodes[node_id]
+        if isinstance(node, Leaf):
+            value = node.value
+            if type(value) is int and -_LITERAL_BOUND < value < _LITERAL_BOUND:
+                out.append(str(value))
+            elif isinstance(value, int):
+                constants.append(value)
+                out.append(f"k[{len(constants) - 1}]")
+            else:
+                raise ModelError(f"{where}: leaf {node_id} score is not an integer")
+            continue
+        kids = node.children
+        walk = "walk(%s, %d, v)" % (name, node_id)  # %d writes an int's digits
+        if len(entry) == 2:
+            if node_id in inlined or depth >= INLINE_DEPTH:
+                out.append(walk)
+            elif type(node.feature) is not int:
+                raise ModelError(f"{where}: node {node_id} feature is not an integer")
+            else:
+                inlined.add(node_id)
+                stack.append((node_id, 0, len(kids), depth))
+            continue
+        _, lo, hi, _ = entry
+        if kids[lo:hi] == (kids[lo],) * (hi - lo):
+            stack.append((kids[lo], depth))
+        elif depth >= INLINE_DEPTH:
+            out.append(walk)
+        elif hi - lo == len(kids) == 2:
+            stack += [")", (kids[0], depth + 1), f" if v[{node.feature}] else\n",
+                      (kids[1], depth + 1), "("]
+        else:
+            mid = (lo + hi) // 2
+            stack += [")", (node_id, mid, hi, depth + 1),
+                      f" if v[{node.feature}] < {mid} else\n",
+                      (node_id, lo, mid, depth + 1), "("]
+    return "".join(out)
+
+
+def _compile_scorer(ensemble: AdditiveEnsemble) -> Callable[[Sequence[int]], int]:
+    """Build `AdditiveEnsemble.scorer`.  Each class's trees are summed in
+    chunks of TREES_PER_CHUNK, each chunk one `lambda v:` over the trees'
+    expressions (`_tree_expression`), compiled on its own so that no one
+    source or syntax tree grows with the trees.  One more lambda sums each
+    class's chunks, exactly, as integers, and returns the class with the
+    highest sum, ties to the lowest class index; its source is a flat tuple
+    of chunk calls per class, which nests no deeper however many there are.
+    ModelError if a leaf score or a split feature is not an int."""
+    chunks: dict[str, Callable[[Sequence[int]], int]] = {}
+    sums = []
+    for ci, group in enumerate(ensemble.trees):
+        calls = []
+        for start in range(0, len(group), TREES_PER_CHUNK):
+            constants: list[int] = []
+            namespace = {"walk": _walk_from, "k": constants}
+            terms = []
+            for ti, tree in enumerate(group[start:start + TREES_PER_CHUNK], start):
+                name = f"t{ti - start}"
+                namespace[name] = tree.nodes
+                terms.append(_tree_expression(tree, name, constants,
+                                              f"class {ci} tree {ti}"))
+            chunk = f"c{len(chunks)}"
+            chunks[chunk] = eval("lambda v: " + " + ".join(terms), namespace)
+            calls.append(f"{chunk}(v), ")
+        sums.append(f"sum(({''.join(calls)})), ")
+    return eval(f"lambda v: (s := ({''.join(sums)})).index(max(s))", chunks)
 
 
 def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,

@@ -7,19 +7,26 @@ parse/serialize round-trips are byte-identical.
 `parse_model` builds the model in one pass over the decoded document.  Each
 node check is a plain test that formats its message only when it fails; each
 node's JSON object is released once converted, and the whole document before
-validation, so a parse peaks barely above the document itself.  Within one
+validation, so a parse peaks barely above the document itself.  An ensemble
+written as `serialize_model` writes it, with its trees last, is decoded one
+tree object at a time instead (`_stream_ensemble`), so its parse peaks near
+the model it builds: about 1 MB, not 4 MB, for the benchmark's
+ensemble-deep model.  Within one
 model, leaves with equal values share one `Leaf` object and splits with equal
 child ids share one `children` tuple.  The trees of an ensemble often repeat
 child-id tuples (63 distinct ones among the 6,300 splits of the benchmark's
-ensemble-deep model), so sharing them saves memory, and only that: every
-walk follows the tree's linked nodes (`TreeStructure.linked`), not these
-tuples.
+ensemble-deep model), so sharing them saves memory, and only that: a
+decision tree's walks follow its linked nodes (`TreeStructure.linked`), and
+an ensemble predicts through code compiled from its nodes
+(`AdditiveEnsemble.scorer`), whatever tuple objects the splits hold.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import re
+from typing import Optional
 
 from .model import (
     AdditiveEnsemble,
@@ -144,8 +151,9 @@ def _load_json(text: str):
         raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _build_classifier(obj) -> Classifier:
-    """The classifier of a decoded model document, not yet validated."""
+def _parse_header(obj) -> tuple[str, FeatureSpace, list, dict]:
+    """The kind, feature space and class names of a decoded model document,
+    and per feature name its index, domain and domain as a set."""
     _expect(isinstance(obj, dict), "model file must contain a JSON object")
     version = obj.get("format_version")
     _expect(version == FORMAT_VERSION,
@@ -161,15 +169,25 @@ def _build_classifier(obj) -> Classifier:
     _expect(len(set(classes)) == len(classes), "duplicate class names")
     features = {name: (f, dom, frozenset(dom))
                 for f, (name, dom) in enumerate(zip(space.names, space.domains))}
+    return kind, space, classes, features
 
+
+def _parse_scale(obj: dict) -> int:
+    scale = obj.get("scale")
+    _expect(isinstance(scale, int) and not isinstance(scale, bool) and scale >= 1,
+            "field 'scale' must be a positive integer")
+    return scale
+
+
+def _build_classifier(obj) -> Classifier:
+    """The classifier of a decoded model document, not yet validated."""
+    kind, space, classes, features = _parse_header(obj)
     if kind == "tree":
         class_leaves = {name: Leaf(c) for c, name in enumerate(classes)}
         tree = _parse_nodes(obj, features, "tree", "class", class_leaves, {})
         return DecisionTree(space, tuple(classes), tree)
     else:
-        scale = obj.get("scale")
-        _expect(isinstance(scale, int) and not isinstance(scale, bool) and scale >= 1,
-                "field 'scale' must be a positive integer")
+        scale = _parse_scale(obj)
         groups_json = obj.get("trees")
         _expect(isinstance(groups_json, list) and len(groups_json) == len(classes),
                 "field 'trees' must hold one list of trees per class")
@@ -188,10 +206,87 @@ def _build_classifier(obj) -> Classifier:
         return AdditiveEnsemble(space, tuple(classes), tuple(groups), scale)
 
 
+_SPACE = re.compile(r"[ \t\n\r]*")  # JSON whitespace
+
+
+def _stream_ensemble(text: str) -> Optional[AdditiveEnsemble]:
+    """The ensemble of a model text decoded one tree object at a time, each
+    converted by `_parse_nodes` before the next is decoded, so the decoded
+    document never exists whole.  None unless the text is one JSON object
+    of kind "ensemble" whose "trees" field comes last, after the others, as
+    `serialize_model` writes it, with no key repeated and nothing in it
+    malformed: `_build_classifier` then parses the whole document and
+    reports what is wrong, in the order it checks."""
+    decode = json.JSONDecoder().raw_decode
+    space = _SPACE.match
+    try:
+        pos = space(text).end()
+        if not text.startswith("{", pos):
+            return None
+        head: dict = {}
+        while True:
+            pos = space(text, pos + 1).end()
+            key, pos = decode(text, pos)
+            pos = space(text, pos).end()
+            if type(key) is not str or key in head or not text.startswith(":", pos):
+                return None
+            pos = space(text, pos + 1).end()
+            if key == "trees":
+                break
+            if key == "nodes":  # a decision tree's: decode it once, whole
+                return None
+            head[key], pos = decode(text, pos)
+            pos = space(text, pos).end()
+            if not text.startswith(",", pos):
+                return None
+        kind, fspace, classes, features = _parse_header(head)
+        if kind != "ensemble":
+            return None
+        scale = _parse_scale(head)
+        leaves: dict = {}
+        children_ids: dict = {}
+        groups = []
+        if not text.startswith("[", pos):
+            return None
+        while True:  # one group of trees per turn, after its "[" or ","
+            pos = space(text, pos + 1).end()
+            if not text.startswith("[", pos):
+                return None
+            parsed = []
+            while True:  # one tree per turn, after its "[" or ","
+                tree, pos = decode(text, space(text, pos + 1).end())
+                if type(tree) is not dict:
+                    return None
+                parsed.append(_parse_nodes(
+                    tree, features, f"trees[{len(groups)}][{len(parsed)}]",
+                    "score", leaves, children_ids))
+                pos = space(text, pos).end()
+                if not text.startswith(",", pos):
+                    break
+            if not text.startswith("]", pos):
+                return None
+            groups.append(tuple(parsed))
+            pos = space(text, pos + 1).end()
+            if not text.startswith(",", pos):
+                break
+        if not text.startswith("]", pos):
+            return None
+        pos = space(text, pos + 1).end()
+        if (not text.startswith("}", pos) or space(text, pos + 1).end() != len(text)
+                or len(groups) != len(classes)):
+            return None
+        return AdditiveEnsemble(fspace, tuple(classes), tuple(groups), scale)
+    except (ParseError, ValueError, RecursionError):
+        return None
+
+
 def parse_model(text: str) -> Classifier:
-    """Parse and fully validate a model file.  No reference to the decoded
-    document outlives `_build_classifier`, so it is freed before validation."""
-    classifier = _build_classifier(_load_json(text))
+    """Parse and fully validate a model file.  An ensemble in the layout
+    `serialize_model` writes is decoded one tree at a time
+    (`_stream_ensemble`); any other text is decoded whole, and no reference
+    to the document outlives `_build_classifier`, so it is freed before
+    validation."""
+    classifier = _stream_ensemble(text) or _build_classifier(_load_json(text))
     problems = validate(classifier)
     if problems:
         raise ParseError("model validation failed: " + "; ".join(problems))
@@ -239,7 +334,9 @@ def serialize_model(classifier: Classifier) -> str:
 
 
 def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
-    """CSV with a header of feature names (any order), one instance per row."""
+    """CSV with a header of feature names (any order), one instance per row.
+    Errors number the data rows from 0, as `verify` and `enum` do, and skip
+    blank lines, as the parse does."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -262,7 +359,7 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
         fi = space.feature_index(h)
         columns.append((fi, {cat: v for v, cat in enumerate(space.domains[fi])}))
     instances = []
-    for r, row in enumerate(rows[1:], start=1):
+    for r, row in enumerate(rows[1:]):
         if len(row) != len(header):
             raise ParseError(
                 f"row {r}: expected {len(header)} cells, got {len(row)}"

@@ -29,14 +29,17 @@ kept set.
 A tree's path search takes each split's range in listed order, so it is
 depth first, not lexicographic: `find_counterexample`'s witness follows
 the first target path, each other free feature at its least value.
-Every walk, on a decision tree and on each tree of an ensemble, follows the
-linked nodes that the tree compiles once (`TreeStructure.linked`): a split
-is (feature, child nodes) and a leaf (-1, value), so each step is one
-subscript by value and one unpack.  The tree walks below key the nodes they
-have visited on `id(node)`; the tree's cache keeps every linked node alive,
-and there is one per node id, so a node is expanded at most once however
-many paths reach it.  Equal leaves share one linked leaf, which is sound
-because a leaf's verdict depends on its value alone.
+A decision tree's walks follow the linked nodes that the tree compiles once
+(`TreeStructure.linked`): a split is (feature, child nodes) and a leaf (-1,
+value), so each step is one subscript by value and one unpack.  The tree
+walks below key the nodes they have visited on `id(node)`; the tree's cache
+keeps every linked node alive, and there is one per node id, so a node is
+expanded at most once however many paths reach it.  Equal leaves share one
+linked leaf, which is sound because a leaf's verdict depends on its value
+alone.  An ensemble walks no tree: `raw_predict` calls the scorer that the
+ensemble compiles once (`AdditiveEnsemble.scorer`), generated code in which
+each tree is one expression of nested conditionals on the values, so a
+cache miss runs straight-line code instead of a loop per tree.
 Every public query bumps the per-session OracleStats exactly once, except
 `minimal_sufficient` and `maximal_reaching`, which count the queries of the
 deletion and grow loops they stand for.
@@ -85,24 +88,16 @@ class OracleStats:
 
 
 def raw_predict(classifier: Classifier, values: tuple[int, ...]) -> int:
-    """Class index for a full assignment, bypassing any oracle bookkeeping."""
+    """Class index for a full assignment of in-domain values, bypassing any
+    oracle bookkeeping: a walk of a decision tree's linked nodes, or an
+    ensemble's compiled scorer."""
     if isinstance(classifier, DecisionTree):
         # x is a split's child nodes, then the leaf's class once f < 0
         f, x = classifier.tree.linked
         while f >= 0:
             f, x = x[values[f]]
         return x
-    scores = []
-    for group in classifier.linked_trees:
-        score = 0
-        for f, x in group:
-            # x is a split's child nodes, then the leaf's score once f < 0
-            while f >= 0:
-                f, x = x[values[f]]
-            score += x
-        scores.append(score)
-    # ties go to the lowest class index
-    return scores.index(max(scores))
+    return classifier.scorer(values)
 
 
 def _tree_target(tree: TreeStructure, ranges: Sequence[tuple[int, ...]],
@@ -281,10 +276,10 @@ class Oracle:
     One Oracle per explanation session: the stats object and the prediction
     cache are its only mutable state.  The cache is keyed on full value
     tuples and is exact, so sharing it within a session is safe.  The
-    classifier stays immutable and safe to share: each tree's linked nodes,
-    which every walk follows, are built on the first query that needs them
-    and cached on the tree, so all oracles over one classifier object share
-    them.
+    classifier stays immutable and safe to share: its compiled form, a
+    decision tree's linked nodes or an ensemble's scorer, is built on the
+    first query that needs it and cached on the classifier's objects, so
+    all oracles over one classifier object share it.
     """
 
     def __init__(self, classifier: Classifier,
@@ -399,8 +394,15 @@ class Oracle:
         features = range(self.space.n_features)
         if bad := [f for f in order if f not in features]:
             raise ModelError(f"order {bad} are not feature indices")
-        targets = frozenset(targets)
-        tau = instance.values
+        return self._grow(instance.values, kept, order, frozenset(targets))
+
+    def _grow(self, tau: tuple[int, ...], kept: AbstractSet[int],
+              order: Sequence[int], targets: AbstractSet[int],
+              ) -> Optional[frozenset[int]]:
+        """The grow loop of `maximal_reaching`, counted as it is, with no
+        checks: `tau` must fit the model and `order` hold feature indices.
+        The enumeration, whose instance and order are checked once per
+        call, runs it once per candidate."""
         fixed = [f in kept for f in range(len(tau))]
         ranges = [(v,) if k else by_value[v] for k, v, by_value
                   in zip(fixed, tau, self.space.own_first_ranges)]

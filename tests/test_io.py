@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -10,6 +11,9 @@ from dualxp.bundled import _read, poole_model, synthetic_ensemble_model
 from dualxp.model import AdditiveEnsemble, DecisionTree, Instance, Leaf
 from dualxp.modelio import (
     ParseError,
+    _build_classifier,
+    _load_json,
+    _stream_ensemble,
     parse_instances,
     parse_model,
     serialize_instances,
@@ -119,6 +123,90 @@ def test_parse_peak_stays_near_the_json_document():
     assert parse_peak - json_peak < model_kept / 2
 
 
+def test_streamed_ensemble_parse_peaks_near_the_model():
+    """An ensemble in the canonical layout is decoded one tree at a time, so
+    its parse never holds the whole decoded document."""
+    text = serialize_model(synthetic_ensemble(n_features=10, trees_per_class=20,
+                                              depth=6))
+
+    def peak(parse):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_model) < peak(json.loads) / 2
+
+
+def _whole_document_parse(text):
+    """What `parse_model` gives or raises when it decodes the whole text."""
+    try:
+        classifier = _build_classifier(_load_json(text))
+    except ParseError as error:
+        return str(error)
+    return classifier
+
+
+def test_streamed_ensemble_parse_matches_the_whole_document():
+    # a text in another layout, or one the whole-document parse rejects, is
+    # left to that parse, which reports the error it always did
+    rng = random.Random(41)
+    for _ in range(8):
+        model = synthetic_ensemble(
+            seed=rng.randrange(1000), n_features=rng.randint(2, 6),
+            trees_per_class=rng.randint(1, 4), depth=rng.randint(1, 3),
+            n_classes=rng.randint(2, 3))
+        text = serialize_model(model)
+        obj = json.loads(text)
+        head = [(k, v) for k, v in obj.items() if k != "trees"]
+        trees = [("trees", obj["trees"])]
+        streamed = [text, json.dumps(obj, separators=(",", ":")),
+                    json.dumps(dict(head[::-1] + trees)), " \n" + text + "\n\n"]
+        for layout in streamed:
+            assert _stream_ensemble(layout) == _whole_document_parse(layout) == model
+        end = text.rstrip().rindex("}")
+        left = [json.dumps(dict(trees + head)),               # trees not last
+                text[:end] + ', "scale": 2}',                   # a key repeated
+                text[:end] + ', "note": 1}',                    # a key after trees
+                text[:end] + "} {}",                            # extra data
+                text.replace('"scale"', '"scale": 0, "scale"', 1),
+                json.dumps(dict(head + [("trees", obj["trees"][:-1])])),
+                json.dumps(dict(head + [("trees", obj["trees"] + [[]])])),
+                text.replace('"score": ', '"score": 0.5 + ', 1),
+                text.replace('"score": ', '"score": "', 1),
+                text.replace('"ensemble"', '"tree"', 1),
+                text.replace('"format_version": 1', '"format_version": 2', 1)]
+        left += [text[:cut] for cut in sorted(rng.sample(range(end), 6))]
+        for layout in left:
+            assert _stream_ensemble(layout) is None
+            expected = _whole_document_parse(layout)
+            if isinstance(expected, str):
+                with pytest.raises(ParseError, match=re.escape(expected)):
+                    parse_model(layout)
+
+
+def test_tree_text_is_decoded_once(poole, monkeypatch):
+    # the streamed parse gives up on a decision tree before its nodes, so
+    # only the whole-document parse decodes them
+    decoded = []
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def recording(self, text, pos=0):
+        value, end = raw_decode(self, text, pos)
+        decoded.append(value)
+        return value, end
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", recording)
+    text = serialize_model(poole)
+    assert _stream_ensemble(text) is None
+    assert decoded and not any(isinstance(value, list) and any(
+        isinstance(node, dict) and "feature" in node for node in value)
+        for value in decoded)
+
+
 def test_unknown_kind():
     obj = json.loads(_read("poole.json"))
     obj["kind"] = "forest"
@@ -169,7 +257,7 @@ def test_parse_instances_empty_body(poole):
 
 
 def test_parse_instances_unknown_category(poole):
-    with pytest.raises(ParseError, match=r"unknown category 'LONG' \(row 1, col L\)"):
+    with pytest.raises(ParseError, match=r"unknown category 'LONG' \(row 0, col L\)"):
         parse_instances("A,T,L,W\nknown,new,LONG,work\n", poole.space)
 
 
@@ -187,7 +275,7 @@ def test_parse_instances_repeated_column(poole):
 
 
 def test_parse_instances_missing_cell(poole):
-    with pytest.raises(ParseError, match="row 1"):
+    with pytest.raises(ParseError, match=r"^row 0: expected 4 cells, got 3$"):
         parse_instances("A,T,L,W\nknown,new,short\n", poole.space)
 
 

@@ -109,3 +109,41 @@ def test_stale_reference_check_finds_and_skips():
     assert _stale_references(text, {"Tree": Tree}) == ["Tree.arrays", "Tree.gone"]
     assert _stale_references("`TreeStructure.arrays`", _dualxp_classes()) == [
         "TreeStructure.arrays"]
+
+
+DYNAMIC_CODE = {"eval", "exec", "compile"}
+
+
+def _dynamic_code_calls(source: str) -> list[str]:
+    """Each call of `eval`, `exec` or `compile` by name, as `line: function`,
+    where `function` is the innermost function around it (`<module>` at top
+    level).  Attribute calls such as `re.compile` are not these builtins."""
+    found = []
+    stack: list[tuple[ast.AST, str]] = [(ast.parse(source), "<module>")]
+    while stack:
+        node, where = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in DYNAMIC_CODE):
+            found.append(f"{node.lineno}: {where}")
+        stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    return sorted(found, key=lambda entry: int(entry.partition(":")[0]))
+
+
+def test_dynamic_code_only_in_the_scorer_builder():
+    # the ensemble scorer is the one place that compiles generated source
+    found = {(path.name, entry.partition(": ")[2])
+             for path in SOURCES for entry in _dynamic_code_calls(path.read_text())}
+    assert found == {("model.py", "_compile_scorer")}
+
+
+def test_dynamic_code_check_finds_and_skips():
+    source = ("import re\n"
+              "x = eval('1')\n"
+              "def build():\n"
+              "    def inner():\n"
+              "        return compile('1', '<s>', 'eval')\n"
+              "    exec('pass')\n"
+              "    return re.compile('a'), inner\n")
+    assert _dynamic_code_calls(source) == ["2: <module>", "5: inner", "6: build"]

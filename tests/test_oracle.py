@@ -11,9 +11,10 @@ from conftest import (A, L, READS, SKIPS, T, W, ascending_ranges,
                       shared_children_tree)
 from dualxp.explain import check_cxp, extract_axp, extract_cxp, make_problem
 from dualxp.hitting import BudgetExceeded
-from dualxp.model import (AdditiveEnsemble, DecisionTree, FeatureSpace,
-                          Instance, Leaf, ModelError, Split, TreeStructure,
-                          validated)
+import dualxp.model as model_module
+from dualxp.model import (INLINE_DEPTH, AdditiveEnsemble, DecisionTree,
+                          FeatureSpace, Instance, Leaf, ModelError, Split,
+                          TreeStructure, _tree_expression, validated)
 from dualxp.oracle import (Oracle, SearchSpaceExceeded, _tree_disagreement_sets,
                            _tree_target, raw_predict)
 from dualxp.synth import (random_instance, random_space, random_tree,
@@ -344,17 +345,24 @@ def test_ensemble_oracle_matches_brute_force():
                 ensemble, random_instance(rng, ensemble.space))
 
 
-def test_compiled_walk_matches_node_walk(monkeypatch):
-    built = []
-    lazy = TreeStructure.__dict__["linked"]
+def _count_builds(monkeypatch, owner, name, built):
+    """Make `owner.name`, a cached property, append each object it is
+    built for to `built`."""
+    lazy = owner.__dict__[name]
 
-    def counted(tree):
-        built.append(tree)
-        return lazy.func(tree)
+    def counted(obj):
+        built.append(obj)
+        return lazy.func(obj)
 
     counting = functools.cached_property(counted)
-    counting.__set_name__(TreeStructure, "linked")
-    monkeypatch.setattr(TreeStructure, "linked", counting)
+    counting.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_compiled_walk_matches_node_walk(monkeypatch):
+    built = []
+    _count_builds(monkeypatch, TreeStructure, "linked", built)
+    _count_builds(monkeypatch, AdditiveEnsemble, "scorer", built)
 
     rng = random.Random(11)
     models = [shared_children_tree()]
@@ -368,6 +376,7 @@ def test_compiled_walk_matches_node_walk(monkeypatch):
         trees = ([model.tree] if isinstance(model, DecisionTree)
                  else [t for group in model.trees for t in group])
         assert not any("linked" in t.__dict__ for t in trees)
+        assert "scorer" not in model.__dict__
         first, second = Oracle(model), Oracle(model)
         points = [random_instance(rng, model.space) for _ in range(40)]
         for i, point in enumerate(points):
@@ -378,9 +387,10 @@ def test_compiled_walk_matches_node_walk(monkeypatch):
                 scores = [sum(_node_walk(t, point.values) for t in group)
                           for group in model.trees]
                 ties += scores.count(max(scores)) > 1
-        # every tree, alone or in an ensemble, compiles its linked form
-        # once, and both oracles share it
-        assert sorted(map(id, built)) == sorted(set(map(id, trees)))
+        # a decision tree compiles its linked form once, and an ensemble its
+        # scorer, which reads no linked form; both oracles share it
+        compiled = model.tree if isinstance(model, DecisionTree) else model
+        assert list(map(id, built)) == [id(compiled)]
         built.clear()
     assert ties > 0
 
@@ -566,6 +576,23 @@ def _count_linked_nodes(root):
     return len(seen)
 
 
+def _child_references(tree):
+    """The root reference plus one per child slot of each split."""
+    return 1 + sum(len(node.children) for node in tree.nodes
+                   if isinstance(node, Split))
+
+
+def _assert_expression_linear(tree):
+    """The scorer's expression for `tree` writes at most one conditional
+    and one node, a leaf literal or a walk call, per child reference, so
+    shared children are not copied."""
+    refs = _child_references(tree)
+    expression = _tree_expression(tree, "t0", [], "tree")
+    assert expression.count(" if v[") < refs
+    assert expression.count("walk(") < refs
+    assert len(expression) <= 64 * refs
+
+
 def test_linked_ensemble_walk_matches_node_walk():
     # every point of each space, on decision trees and ensembles, most of
     # whose trees share children
@@ -585,7 +612,7 @@ def test_linked_ensemble_walk_matches_node_walk():
         trees = ([model.tree] if isinstance(model, DecisionTree)
                  else [t for group in model.trees for t in group])
         # nothing built before a prediction
-        assert "linked_trees" not in model.__dict__
+        assert "scorer" not in model.__dict__
         assert not any("linked" in t.__dict__ for t in trees)
         first, second = Oracle(model), Oracle(model)
         domains = [range(model.space.domain_size(f))
@@ -594,21 +621,25 @@ def test_linked_ensemble_walk_matches_node_walk():
             expected = _reference_predict(model, values)
             assert raw_predict(model, values) == expected
             if i == 0:
-                roots = [t.linked for t in trees]
+                built = (model.scorer if isinstance(model, AdditiveEnsemble)
+                         else model.tree.linked)
             assert (first if i % 2 else second).predict(Instance(values)) == expected
             if isinstance(model, AdditiveEnsemble):
                 scores = [sum(_node_walk(t, values) for t in group)
                           for group in model.trees]
                 ties += scores.count(max(scores)) > 1
-        # one linked form per tree, shared by both oracles and, in an
-        # ensemble, by its linked_trees; and one linked node at most per
-        # node id, so shared children stay shared
-        assert all(t.linked is root for t, root in zip(trees, roots))
+        # one compiled form per classifier, shared by both oracles: a
+        # tree's linked form, with one linked node at most per node id, or an
+        # ensemble's scorer, with no linked form, whose code for each tree is
+        # linear in its nodes; so shared children stay shared
         if isinstance(model, AdditiveEnsemble):
-            linked = itertools.chain.from_iterable(model.linked_trees)
-            assert list(map(id, linked)) == list(map(id, roots))
-        for tree, root in zip(trees, roots):
-            assert _count_linked_nodes(root) <= len(tree.nodes)
+            assert model.scorer is built
+            assert not any("linked" in t.__dict__ for t in trees)
+            for tree in trees:
+                _assert_expression_linear(tree)
+        else:
+            assert model.tree.linked is built
+            assert _count_linked_nodes(built) <= len(model.tree.nodes)
     assert ties > 0
 
 
@@ -623,7 +654,28 @@ def test_linked_walk_of_deep_chains():
     for _ in range(8):
         point = random_instance(rng, shared.space)
         assert raw_predict(shared, point.values) == _reference_predict(shared, point.values)
-    assert _count_linked_nodes(shared.linked_trees[0][0]) == 18
+    _assert_expression_linear(binary.tree)
+    # a ladder: a split, then 15 levels of two splits on one feature, each
+    # with the two nodes of the next level as children, so 2^16 paths
+    # through 33 nodes, where every split from the third level on is
+    # reached along two edges
+    width = 16
+    ladder_space = FeatureSpace(tuple(f"x{i}" for i in range(width)),
+                                (("a", "b"),) * width)
+    nodes = [Split(0, (1, 2))]
+    for level in range(1, width):
+        below = (2 * level + 1, 2 * level + 2) if level < width - 1 else (
+            2 * width - 1, 2 * width)
+        nodes += [Split(level, below), Split(level, below[::-1])]
+    nodes += [Leaf(0), Leaf(1)]
+    ladder = validated(AdditiveEnsemble(
+        ladder_space, ("c0", "c1"),
+        ((TreeStructure(tuple(nodes), 0),), (TreeStructure((Leaf(0),), 0),)),
+        scale=1))
+    for _ in range(64):
+        point = random_instance(rng, ladder.space)
+        assert raw_predict(ladder, point.values) == _reference_predict(ladder, point.values)
+    _assert_expression_linear(ladder.trees[0][0])
 
     # 3,000 splits on one-value features, then one split on x: class 0
     # scores 0 at x=a and 1 at x=b, class 1 always 1, ties to class 0
@@ -644,3 +696,136 @@ def test_linked_walk_of_deep_chains():
     assert extract_cxp(problem).features == {depth}
     del shared, chain, problem
     gc.collect()
+
+
+def _spy_on_compiled_sources(monkeypatch):
+    """Record every source the scorer builder compiles."""
+    sources = []
+
+    def spy(source, namespace):
+        sources.append(source)
+        return eval(source, namespace)
+
+    monkeypatch.setattr(model_module, "eval", spy, raising=False)
+    return sources
+
+
+def _scorer_ensemble(rng, n_features, n_classes):
+    """A random ensemble over domains of 1 to 6 values whose trees share
+    children, with leaf scores 0 to 2 so that class scores often tie."""
+    space = random_space(rng, n_features, (1, 6))
+    return validated(AdditiveEnsemble(
+        space, tuple(f"c{i}" for i in range(n_classes)),
+        tuple(tuple(random_shared_tree(rng, space, 3, rng.randint(1, 10)).tree
+                    for _ in range(rng.randint(1, 9)))
+              for _ in range(n_classes)),
+        scale=1,
+    ))
+
+
+def test_scorer_matches_node_walk_at_every_point():
+    rng = random.Random(31)
+    ties = 0
+    for n_classes in (2, 3):
+        for _ in range(15):
+            model = _scorer_ensemble(rng, rng.randint(1, 4), n_classes)
+            domains = [range(len(d)) for d in model.space.domains]
+            for values in itertools.product(*domains):
+                assert model.scorer(values) == _reference_predict(model, values)
+                scores = [sum(_node_walk(t, values) for t in group)
+                          for group in model.trees]
+                ties += scores.count(max(scores)) > 1
+    assert ties > 0
+
+
+def test_scorer_matches_node_walk_on_the_deep_ensemble():
+    # the generator of the ensemble-deep benchmark workload: 100 trees of
+    # depth 6 over 10 binary features
+    model = synthetic_ensemble(n_features=10, trees_per_class=50, depth=6, seed=1)
+    rng = random.Random(37)
+    for _ in range(2000):
+        values = random_instance(rng, model.space).values
+        assert raw_predict(model, values) == _reference_predict(model, values)
+
+
+def test_scorer_of_a_deep_comb(monkeypatch):
+    # 2,000 binary splits in a row, each with a leaf scoring its depth on
+    # one side: the scorer inlines the first INLINE_DEPTH levels and walks
+    # the rest, with no recursion or parser limit
+    sources = _spy_on_compiled_sources(monkeypatch)
+    depth = 2000
+    space = FeatureSpace(tuple(f"f{i}" for i in range(depth)), (("a", "b"),) * depth)
+    nodes = []
+    for i in range(depth):
+        nodes += [Split(i, (2 * i + 1, 2 * i + 2)), Leaf(i)]
+    nodes.append(Leaf(-1))  # with every feature at b
+    comb = validated(AdditiveEnsemble(
+        space, ("c0", "c1"),
+        ((TreeStructure(tuple(nodes), 0),), (TreeStructure((Leaf(40),), 0),)),
+        scale=1))
+    oracle = Oracle(comb)
+    for stop in (0, 1, INLINE_DEPTH - 1, INLINE_DEPTH, INLINE_DEPTH + 1, 1500,
+                 depth - 1, depth):
+        values = (1,) * stop + (0,) * (depth - stop)
+        expected = _reference_predict(comb, values)
+        assert expected == (stop < 40 or stop == depth)
+        assert raw_predict(comb, values) == expected
+        assert oracle.predict(Instance(values)) == expected
+    assert "walk(" in sources[0]
+    assert sum(map(len, sources)) <= 64 * _child_references(comb.trees[0][0])
+
+
+def test_scorer_source_holds_no_text_of_the_model(monkeypatch):
+    # hand-built ensembles, never validated: a str leaf is refused, and a
+    # bool, an int too long to write or an int whose text is spoofed is read
+    # from a constant, so it scores as the node walk does; no leaf's text
+    # enters a source
+    sources = _spy_on_compiled_sources(monkeypatch)
+    space = FeatureSpace(("x",), (("a", "b"),))
+
+    def ensemble(leaf):
+        tree = TreeStructure((Split(0, (1, 2)), Leaf(leaf), Leaf(0)), 0)
+        return AdditiveEnsemble(space, ("c0", "c1"),
+                                ((tree,), (TreeStructure((Leaf(0),), 0),)), 1)
+
+    payload = "__import__('os').getcwd()"
+
+    class Spoofed(int):
+        def __str__(self):
+            return payload
+
+        __repr__ = __str__
+
+        def __format__(self, spec):
+            return payload
+
+    for leaf in (payload, "1", 1.5):
+        model = ensemble(leaf)
+        with pytest.raises(ModelError, match="class 0 tree 0: leaf 1 score is not an integer"):
+            raw_predict(model, (0,))
+        with pytest.raises(ModelError):
+            Oracle(model).predict(Instance((0,)))
+    huge = 10 ** 5000
+    for leaf in (True, False, huge, -huge, 2 ** 63, -(2 ** 63), Spoofed(7)):
+        model = ensemble(leaf)
+        for values in ((0,), (1,)):
+            assert raw_predict(model, values) == _reference_predict(model, values)
+    # and no feature's or node id's own text: a split feature that is not an
+    # int is refused, and a node id is written as its digits
+    split = TreeStructure((Split(payload, (1, 1)), Leaf(0)), 0)
+    bad_feature = AdditiveEnsemble(space, ("c0", "c1"), ((split,), (split,)), 1)
+    with pytest.raises(ModelError, match="class 0 tree 0: node 0 feature is not an integer"):
+        raw_predict(bad_feature, (0,))
+    # split 2 is the second reference to split 1, which it reaches by a walk
+    i = [Spoofed(k) for k in range(5)]
+    spoofed = TreeStructure((Split(0, (i[2], i[1])), Split(1, (i[3], i[4])),
+                             Split(1, (i[1], i[4])), Leaf(1), Leaf(0)), i[0])
+    two = FeatureSpace(("x", "y"), (("a", "b"),) * 2)
+    model = AdditiveEnsemble(two, ("c0", "c1"),
+                             ((spoofed,), (TreeStructure((Leaf(0),), 0),)), 1)
+    for values in itertools.product((0, 1), repeat=2):
+        assert raw_predict(model, values) == _reference_predict(model, values)
+    text = "".join(sources)
+    assert "walk(t0, 1, v)" in text
+    assert payload not in text and "True" not in text and "False" not in text
+    assert "9223372036854775808" not in text
