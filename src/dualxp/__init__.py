@@ -22,7 +22,7 @@ from .explain import (
     make_problem,
     targeted_cxp,
 )
-from .hitting import BudgetExceeded, HittingSetInstance, minimal_hitting_set
+from .hitting import BudgetExceeded, minimal_hitting_set
 from .model import (
     AdditiveEnsemble,
     DecisionTree,
@@ -40,11 +40,11 @@ from .oracle import Oracle, OracleStats, SearchSpaceExceeded
 __all__ = [
     "AXp", "AdditiveEnsemble", "BudgetExceeded", "CXp", "CxpWitness",
     "DecisionTree", "EnumerationState", "ExplanationProblem", "FeatureSpace",
-    "HittingSetInstance", "Instance", "Literal", "ModelError", "Oracle",
-    "OracleStats", "ParseError", "PartialAssignment", "SearchSpaceExceeded",
+    "Instance", "Literal", "ModelError", "Oracle", "OracleStats",
+    "ParseError", "PartialAssignment", "SearchSpaceExceeded",
     "brute_force_corrections", "brute_force_explanations", "check_axp",
-    "check_cxp", "cxp_witness", "enumerate_all", "extract_axp",
-    "extract_cxp", "iterate_explanations", "make_problem", "minimal_hitting_set",
+    "check_cxp", "cxp_witness", "enumerate_all", "extract_axp", "extract_cxp",
+    "iterate_explanations", "make_problem", "minimal_hitting_set",
     "parse_instances", "parse_model", "serialize_model", "targeted_cxp",
     "validate", "validated", "verify_duality",
 ]

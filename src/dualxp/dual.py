@@ -16,6 +16,8 @@ progress.  Its searches try the instance's value first;
 from one walk of its paths (each CXp is a minimal disagreement set of a
 path to a target leaf), so every later proposal is an AXp with no oracle
 query.
+From the tree walk through the solver a feature set is an int mask over
+the positions of the feature order, turned into features once, when yielded.
 `iterate_explanations` is the one entry point, a lazy stream: a CXp-only
 enumeration is its output with the AXps left out, and `enumerate_all`
 drains it.
@@ -66,54 +68,72 @@ def iterate_explanations(problem: ExplanationProblem,
     come out in non-decreasing size order.  BudgetExceeded once more than
     DEFAULT_MAX_EXPLANATIONS are reported.
 
-    A decision tree yields its CXps first, all taken from one walk of its
-    paths and sorted by size, then by their features' positions in `order`;
-    its AXps follow, as the solver's successive answers.  An ensemble asks
-    the oracle about each answer, and yields the two kinds interleaved as it
-    finds them.
+    Feature sets stay masks, with bit i for feature `order[i]`, until an
+    explanation is yielded.  A decision tree yields its CXps first, all
+    taken from one walk of its paths and sorted by size, then by their
+    features' positions in `order`; its AXps follow, as the solver's
+    successive answers.  An ensemble asks the oracle about each answer, and
+    yields the two kinds interleaved as it finds them.
     """
     tau = problem.instance
     oracle = problem.oracle
     oracle.space.check_instance(tau)
     ord_ = _order(problem, order)
-    solver = HittingSetSolver(ord_, smallest, mhs_budget)
+    targets = problem.targets
+    solver = HittingSetSolver(len(ord_), smallest, mhs_budget)
+    bits = [0] * len(ord_)  # per feature, the bit of its position in `ord_`
+    for i, f in enumerate(ord_):
+        bits[f] = 1 << i
     # a tree's walk finds its complete CXp family, so once that is added to
     # the solver every answer is an AXp; an ensemble's CXps come one by one
-    walked: Iterator[frozenset[int]] = iter(())
+    walked: Iterator[int] = iter(())
     is_tree = isinstance(oracle.classifier, DecisionTree)
     if is_tree:
-        position = {f: i for i, f in enumerate(ord_)}
         walked = iter(sorted(
             _tree_disagreement_sets(oracle.classifier.tree, tau.values,
-                                    problem.targets),
-            key=lambda c: (len(c), sorted(position[f] for f in c))))
+                                    targets, bits),
+            key=lambda m: (m.bit_count(), _positions(m))))
     for reported in itertools.count(1):
-        features = next(walked, None)
-        if features is not None:
-            found: Union[AXp, CXp] = CXp(features, problem.targets)
-            solver.add_to_hit(features)
+        cxp = next(walked, None)
+        if cxp is not None:
+            solver.add_to_hit(cxp)
+            found: Union[AXp, CXp] = CXp(_features(cxp, ord_), targets)
         else:
             candidate = solver.next()
             if candidate is None:
                 return
-            kept = (None if is_tree else
-                    oracle._grow(tau.values, candidate, ord_, problem.targets))
-            if kept is None:
+            fixed = None if is_tree else [bool(candidate & b) for b in bits]
+            if is_tree or not oracle._grow(tau.values, fixed, ord_, targets):
                 # no completion of the candidate reaches the targets (on a
                 # tree the duality says so with no query); minimality among
                 # hitting sets of the full CXp family makes it an AXp
-                found = AXp(candidate)
                 solver.add_blocked(candidate)
+                found = AXp(_features(candidate, ord_))
             else:
                 # the grow kept the candidate, so the CXp it leaves out is
                 # disjoint from it: progress is guaranteed
-                found = CXp(frozenset(range(problem.n_features)) - kept,
-                            problem.targets)
-                solver.add_to_hit(found.features)
+                free = [f for f, k in enumerate(fixed) if not k]
+                solver.add_to_hit(sum(bits[f] for f in free))
+                found = CXp(frozenset(free), targets)
         if reported > DEFAULT_MAX_EXPLANATIONS:
             raise BudgetExceeded(
                 f"more than {DEFAULT_MAX_EXPLANATIONS} explanations reported")
         yield found
+
+
+def _positions(mask: int) -> list[int]:
+    """The positions of the bits set in `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def _features(mask: int, order: Sequence[int]) -> frozenset[int]:
+    """The features whose positions in `order` are set in `mask`."""
+    return frozenset(order[i] for i in _positions(mask))
 
 
 def enumerate_all(problem: ExplanationProblem,

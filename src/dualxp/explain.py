@@ -83,9 +83,10 @@ class CxpWitness:
 def _order(problem: ExplanationProblem, order: Optional[Sequence[int]]) -> list[int]:
     if order is None:
         return list(range(problem.n_features))
+    order = list(order)  # read once: a one-shot iterable serves as a list does
     if sorted(order) != list(range(problem.n_features)):
         raise ModelError("order must be a permutation of all feature indices")
-    return list(order)
+    return order
 
 
 def extract_axp(problem: ExplanationProblem,

@@ -1,18 +1,19 @@
 """Exact minimal-hitting-set solver used by the dual enumeration engine.
 
-`HittingSetSolver` maps the universe to bit positions once and works on
-Python `int` masks.  Sets to hit and blocked sets (sets the answer may not
-cover) are added one at a time, and `next()` returns a subset-minimal
-hitting set that covers no blocked set.  An explicit-stack depth-first
-search branches on the unhit set with the fewest still-allowed elements
-(ties go to the lowest set index): its allowed elements are tried in
-universe order, and each later sibling excludes the earlier ones, so no
-hitting set is reached twice.  A state is pruned when some unhit set has no
-allowed element left, and a child that covers a blocked set is dropped.
-The first hitting set found is shrunk to a subset-minimal one by dropping
-elements in universe order.  With `smallest=True` the search is instead
-repeated under a growing cap on the chosen set's size (iterative
-deepening), with no shrink needed.
+`HittingSetSolver` takes sets and returns answers as Python `int` masks
+over n positions, bit i standing for position i (the enumeration gives
+feature `order[i]` position i).  Sets to hit and blocked sets (sets the
+answer may not cover) are added one at a time, and `next()` returns a
+subset-minimal hitting set that covers no blocked set.  An
+explicit-stack depth-first search branches on the unhit set with the
+fewest still-allowed elements (ties go to the lowest set index): its
+allowed elements are tried in ascending position, and each later sibling
+excludes the earlier ones, so no hitting set is reached twice.  A state is
+pruned when some unhit set has no allowed element left, and a child that
+covers a blocked set is dropped.  The first hitting set found is shrunk to
+a subset-minimal one by dropping elements in ascending position.  With
+`smallest=True` the search is instead repeated under a growing cap on the
+chosen set's size (iterative deepening), with no shrink needed.
 
 One depth-first search serves every `next()` call: it resumes from the
 saved stack, which still holds the last answer's own state on top.  The
@@ -31,7 +32,6 @@ guards against desk-scale blowups.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -41,30 +41,14 @@ class BudgetExceeded(Exception):
     """Search node budget exhausted."""
 
 
-@dataclass(frozen=True)
-class HittingSetInstance:
-    """Universe of element ids, sets to hit, and sets the answer may not cover."""
-
-    universe: tuple[int, ...]
-    to_hit: tuple[frozenset[int], ...]
-    blocked: tuple[frozenset[int], ...] = ()
-
-    def __post_init__(self) -> None:
-        elems = set(self.universe)
-        for s in self.to_hit + self.blocked:
-            if not s <= elems:
-                raise ValueError("set contains elements outside the universe")
-
-
 class HittingSetSolver:
-    """Incremental search for minimal hitting sets over a fixed universe."""
+    """Incremental search for minimal hitting sets, as masks over `n` positions."""
 
-    def __init__(self, universe: Iterable[int], smallest: bool = False,
+    def __init__(self, n: int, smallest: bool = False,
                  budget: int = DEFAULT_NODE_BUDGET) -> None:
-        self.universe = tuple(universe)
+        self.n = n
         self.smallest = smallest
         self.budget = budget
-        self._bit = {e: 1 << i for i, e in enumerate(self.universe)}
         self._sets: list[int] = []  # masks to hit, in the order added
         # element bit -> blocked masks containing it; a child adds one
         # element, so only these can become covered
@@ -75,24 +59,19 @@ class HittingSetSolver:
         self._stack = [self._root()]
         self._cap = 0  # smallest mode: the size cap of the current search
 
-    def _mask(self, s: Iterable[int]) -> int:
-        m = 0
-        try:
-            for e in s:
-                m |= self._bit[e]
-        except KeyError:
-            raise ValueError("set contains elements outside the universe") from None
-        return m
+    def _check(self, m: int) -> None:
+        if m >> self.n:
+            raise ValueError(f"mask {m} has a bit at position {self.n} or above")
 
-    def add_to_hit(self, s: Iterable[int]) -> None:
-        """Require every later answer to hit `s`."""
-        m = self._mask(s)
+    def add_to_hit(self, m: int) -> None:
+        """Require every later answer to hit the mask `m`."""
+        self._check(m)
         self._empty = self._empty or not m  # an empty set can never be hit
         self._sets.append(m)
 
-    def add_blocked(self, s: Iterable[int]) -> None:
-        """Forbid every later answer to cover `s`."""
-        m = self._mask(s)
+    def add_blocked(self, m: int) -> None:
+        """Forbid every later answer to cover the mask `m`."""
+        self._check(m)
         self._empty = self._empty or not m  # every set covers the empty set
         self._stack = [st for st in self._stack if st[0] & m != m]
         rest = m
@@ -101,27 +80,19 @@ class HittingSetSolver:
             rest ^= low
             self._blocked_with.setdefault(low, []).append(m)
 
-    def next(self) -> Optional[frozenset[int]]:
-        """A subset-minimal hitting set of the sets to hit that covers no
-        blocked set, or None when no such set exists.  With `smallest=True`
-        it is additionally of minimum cardinality."""
+    def next(self) -> Optional[int]:
+        """The mask of a subset-minimal hitting set of the sets to hit that
+        covers no blocked set, or None when no such set exists.  With
+        `smallest=True` it is additionally of minimum cardinality."""
         if self._empty:
             return None
         found = self._search()
-        if found is None:
-            return None
-        if not self.smallest:
-            found = _shrink(found, self._sets)
-        universe = self.universe
-        out = []
-        while found:
-            low = found & -found
-            found ^= low
-            out.append(universe[low.bit_length() - 1])
-        return frozenset(out)
+        if found is None or self.smallest:
+            return found
+        return _shrink(found, self._sets)
 
     def _root(self) -> tuple[int, int]:
-        return 0, (1 << len(self.universe)) - 1
+        return 0, (1 << self.n) - 1
 
     def _search(self) -> Optional[int]:
         """Pop states until the first hitting set in search order, or None.
@@ -132,11 +103,11 @@ class HittingSetSolver:
         blocked_with = self._blocked_with
         cap = self._cap if self.smallest else None
         budget = self.budget
-        more = len(self.universe) + 1  # more than any set's allowed elements
+        more = self.n + 1  # more than any set's allowed elements
         nodes = 0
         while True:
             if not stack:
-                if cap is None or cap >= len(self.universe):
+                if cap is None or cap >= self.n:
                     return None
                 cap = self._cap = cap + 1
                 stack.append(self._root())
@@ -185,7 +156,7 @@ def _covers(family: Iterable[int], mask: int) -> bool:
 
 
 def _shrink(chosen: int, sets: list[int]) -> int:
-    """Drop elements in universe order while the set still hits everything.
+    """Drop elements in ascending position while the set still hits everything.
 
     Shrinking can only shed supersets, so blocked-avoidance is preserved.
     """
@@ -202,13 +173,16 @@ def _shrink(chosen: int, sets: list[int]) -> int:
     return chosen
 
 
-def minimal_hitting_set(instance: HittingSetInstance, smallest: bool = False,
-                        budget: int = DEFAULT_NODE_BUDGET) -> Optional[frozenset[int]]:
-    """A subset-minimal hitting set of `to_hit` that covers no blocked set,
-    or None if there is none; with `smallest=True`, of minimum cardinality."""
-    solver = HittingSetSolver(instance.universe, smallest, budget)
-    for s in instance.to_hit:
-        solver.add_to_hit(s)
-    for b in instance.blocked:
-        solver.add_blocked(b)
+def minimal_hitting_set(n: int, to_hit: Iterable[int], blocked: Iterable[int] = (),
+                        smallest: bool = False,
+                        budget: int = DEFAULT_NODE_BUDGET) -> Optional[int]:
+    """The first answer of a `HittingSetSolver(n, smallest, budget)` given
+    the masks `to_hit` and `blocked`.  The library calls the solver itself;
+    this name stays for the benchmark's tracer (`perfbench/tracing.py`),
+    which patches it here and in `dualxp.dual`."""
+    solver = HittingSetSolver(n, smallest, budget)
+    for m in to_hit:
+        solver.add_to_hit(m)
+    for m in blocked:
+        solver.add_blocked(m)
     return solver.next()

@@ -55,7 +55,7 @@ feature, so the witness agrees with the instance on as many features as
 that search allows and those features join with no search of their own.
 
 Tree enumeration asks no queries: `_tree_disagreement_sets` finds every CXp
-of an instance in one walk of the same linked nodes.
+of an instance, as a mask, in one walk of the same linked nodes.
 """
 from __future__ import annotations
 
@@ -204,14 +204,15 @@ def _tree_minimal_sufficient(tree: TreeStructure, values: tuple[int, ...],
 
 
 def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
-                            targets: frozenset[int]) -> list[frozenset[int]]:
+                            targets: frozenset[int], bits: Sequence[int]) -> list[int]:
     """The subset-minimal disagreement sets of the paths to leaves with class
     in `targets`, where a path's disagreement set holds the features on it
     whose branch differs from `values`.  For the instance `values` these are
     exactly its CXps into `targets` (Izza, Ignatiev and Marques-Silva, *On
-    Explaining Decision Trees*, 2020).
+    Explaining Decision Trees*, 2020).  Each set is a mask made of the
+    features' `bits`, one distinct single-bit int per feature.
 
-    One walk carries the bit mask of the disagreeing features, and handles
+    One walk carries the mask of the disagreeing features, and handles
     its states in level order, where a state's level is the number of bits
     in its mask: a disagreeing child is one level deeper, and each state
     follows its agreeing children down at its own level.  So every mask
@@ -244,7 +245,7 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
                 else:
                     seen.append(mask)
                 agree = values[f]
-                differs = mask | 1 << f
+                differs = mask | bits[f]
                 if not _covers(found, differs):
                     for v, kid in enumerate(x):
                         if v != agree:
@@ -254,8 +255,7 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
             if f < 0 and x in targets:
                 found.append(mask)
         level = deeper
-    return [frozenset(f for f in range(mask.bit_length()) if mask >> f & 1)
-            for mask in found]
+    return found
 
 
 class Oracle:
@@ -394,22 +394,25 @@ class Oracle:
         features = range(self.space.n_features)
         if bad := [f for f in order if f not in features]:
             raise ModelError(f"order {bad} are not feature indices")
-        return self._grow(instance.values, kept, order, frozenset(targets))
+        fixed = [f in kept for f in features]
+        if not self._grow(instance.values, fixed, order, frozenset(targets)):
+            return None
+        return frozenset(f for f, k in enumerate(fixed) if k)
 
-    def _grow(self, tau: tuple[int, ...], kept: AbstractSet[int],
-              order: Sequence[int], targets: AbstractSet[int],
-              ) -> Optional[frozenset[int]]:
+    def _grow(self, tau: tuple[int, ...], fixed: list[bool],
+              order: Sequence[int], targets: AbstractSet[int]) -> bool:
         """The grow loop of `maximal_reaching`, counted as it is, with no
         checks: `tau` must fit the model and `order` hold feature indices.
-        The enumeration, whose instance and order are checked once per
-        call, runs it once per candidate."""
-        fixed = [f in kept for f in range(len(tau))]
+        `fixed` marks the kept features, and the loop grows it in place;
+        False, with `fixed` untouched, if no completion of it reaches
+        `targets`.  The enumeration, whose instance and order are checked
+        once per call, runs it once per candidate."""
         ranges = [(v,) if k else by_value[v] for k, v, by_value
                   in zip(fixed, tau, self.space.own_first_ranges)]
         self.stats.witness_calls += 1
         witness = self._first_target(ranges, targets)
         if witness is None:
-            return None
+            return False
         for f in order:
             if fixed[f]:
                 continue
@@ -426,7 +429,7 @@ class Oracle:
                 ranges[f] = own
             else:
                 witness = found
-        return frozenset(f for f, k in enumerate(fixed) if k)
+        return True
 
     def find_counterexample(self, instance: Instance, kept: AbstractSet[int],
                             targets: frozenset[int]) -> Optional[Instance]:

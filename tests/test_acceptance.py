@@ -187,13 +187,14 @@ def test_criterion_6_mhs_exactness():
             frozenset(rng.sample(universe, rng.randint(1, n)))
             for _ in range(rng.randint(1, 10))
         )
-        # one solver, each answer blocked, as the enumeration loop drives it
-        solver = HittingSetSolver(universe)
+        # one solver, each answer blocked, as the enumeration loop drives it;
+        # element e has position e, so its bit in a mask is 1 << e
+        solver = HittingSetSolver(n)
         for s in to_hit:
-            solver.add_to_hit(s)
+            solver.add_to_hit(sum(1 << e for e in s))
         found = []
         while (h := solver.next()) is not None:
-            found.append(h)
+            found.append(frozenset(e for e in universe if h >> e & 1))
             solver.add_blocked(h)
         got = set(found)
         hitting = [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -483,34 +484,52 @@ def test_byte_stability(capsys, poole_file, all16_file):
                         "--mode", "all")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+    # a permuted order moves the features' positions in the hitting-set
+    # search, and so the order of the AXp and CXp records
+    code, out, err = run(capsys, "enum", "-m", poole_file, "-i", all16_file,
+                         "--mode", "all", "--order", "W,L,T,A")
+    assert (code, err) == (0, "")
+    assert out != outputs[0]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4f828fc118d5d4321b7794dc8b3bf0a5db58ac105e817d313ef7fd8e4c0b9301")
 
 
 # sha256 of each command's output on the first 20 bundled ensemble rows;
 # for `stats`, of its standard output followed by the CSV it writes.
 # `enum` pins the discovery order; `enum --sort-size` pins the families
-# whatever that order
+# whatever that order; the `--order` and `--smallest` runs pin how the
+# features' positions steer the hitting-set search
 BUNDLED_ENSEMBLE_DIGESTS = {
     "axp": "6902ef53d857ad4c0a00b049c20bdc8a01048b434a07cf336785d339a7dcce9d",
     "cxp": "50f1d017e672f0b36d6375bdb771070b12258ec206772f20af9f5975f23e3964",
     "enum": "233954459e1e4e96a60e14fb83d8c3b1a02b83bf43aa150753c840213b151a13",
     "enum --sort-size":
         "99e7525f6650228ce2eeb976e6fac58086e63659ef20863da5450369a98ef3e7",
+    "enum --order reversed":
+        "cfb39bc45d9c540637e2ae3dde0e8c7a7592ad6aba20b1b8eb502c41bee0b2b2",
+    "enum --smallest":
+        "bfab0a8134a3e35aa0c157c9b3497c82fcce41021495208b3483e62cebe5bcda",
+    "enum --smallest --order reversed":
+        "15be69c52180a668e5d1ca985aff953d92b7665117f4f1fc9270e626ed297684",
     "verify": "a627c9ce72ceed92203d156ef0621bbf8f8cba910ea51c970ff3604b4d261050",
     "stats": "c88d0a9c7865ffd946f388788241275db2a024e97326e17d0b40e2c5111a7701",
 }
 
 
 def test_bundled_ensemble_output_is_pinned(capsys, tmp_path):
-    import hashlib
-
     model = tmp_path / "ensemble.json"
     model.write_text(_read("synth_ensemble.json"))
     rows = tmp_path / "rows.csv"
     rows.write_text("".join(_read("synth_instances.csv").splitlines(True)[:21]))
     files = ["-m", str(model), "-i", str(rows)]
     out_csv = tmp_path / "stats.csv"
+    reversed_order = ["--order", ",".join(f"f{i}" for i in range(9, -1, -1))]
     argvs = {"axp": ["axp"], "cxp": ["cxp"], "enum": ["enum", "--mode", "all"],
              "enum --sort-size": ["enum", "--mode", "all", "--sort-size"],
+             "enum --order reversed": ["enum", "--mode", "all", *reversed_order],
+             "enum --smallest": ["enum", "--mode", "all", "--smallest"],
+             "enum --smallest --order reversed":
+                 ["enum", "--mode", "all", "--smallest", *reversed_order],
              "verify": ["verify"], "stats": ["stats", "-o", str(out_csv)]}
     digests = {}
     for name, argv in argvs.items():

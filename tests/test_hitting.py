@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -9,24 +10,63 @@ from dualxp.dual import minimal_transversals
 from dualxp.hitting import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
-    HittingSetInstance,
     HittingSetSolver,
     minimal_hitting_set,
 )
 
+# The solver works on int masks over positions; these tests state their
+# cases as sets of element ids over a `universe`, in which element
+# `universe[i]` has position i, and convert at this boundary.
+Problem = collections.namedtuple("Problem", "universe to_hit blocked")
+
 
 def hs(universe, to_hit, blocked=()):
-    return HittingSetInstance(
+    return Problem(
         tuple(universe),
         tuple(frozenset(s) for s in to_hit),
         tuple(frozenset(b) for b in blocked),
     )
 
 
+def to_mask(universe, s):
+    return sum(1 << universe.index(e) for e in set(s))
+
+
+def to_elements(universe, mask):
+    return None if mask is None else frozenset(
+        e for i, e in enumerate(universe) if mask >> i & 1)
+
+
+class ElementSolver:
+    """`HittingSetSolver` over the elements of `universe`: sets go in and
+    answers come out as frozensets of elements."""
+
+    def __init__(self, universe, smallest=False, budget=DEFAULT_NODE_BUDGET):
+        self.universe = tuple(universe)
+        self.solver = HittingSetSolver(len(self.universe), smallest, budget)
+
+    def add_to_hit(self, s):
+        self.solver.add_to_hit(to_mask(self.universe, s))
+
+    def add_blocked(self, s):
+        self.solver.add_blocked(to_mask(self.universe, s))
+
+    def next(self):
+        return to_elements(self.universe, self.solver.next())
+
+
+def mhs(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
+    """`minimal_hitting_set` on the masks of `inst`, as a set of elements."""
+    u = inst.universe
+    return to_elements(u, minimal_hitting_set(
+        len(u), [to_mask(u, s) for s in inst.to_hit],
+        [to_mask(u, b) for b in inst.blocked], smallest, budget))
+
+
 def every_minimal_hitting_set(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
     """One solver driven as the enumeration loop drives it: each answer is
     blocked, which excludes exactly its supersets, and the search resumes."""
-    solver = HittingSetSolver(inst.universe, smallest, budget)
+    solver = ElementSolver(inst.universe, smallest, budget)
     for s in inst.to_hit:
         solver.add_to_hit(s)
     for b in inst.blocked:
@@ -49,53 +89,54 @@ def exhaustive_minimal_hitting_sets(universe, to_hit):
 
 
 def test_forced_singleton():
-    assert minimal_hitting_set(hs([0, 1], [{0}])) == frozenset({0})
+    assert mhs(hs([0, 1], [{0}])) == frozenset({0})
 
 
 def test_golden_pair_with_blocking():
     # elements named after the worked example: A=0, T=1, L=2, W=3;
     # universe ordered by first appearance (L, T, A, W) decides ties
     inst = hs([2, 1, 0, 3], [{2}, {1, 0}])
-    assert minimal_hitting_set(inst) == frozenset({2, 1})
+    assert mhs(inst) == frozenset({2, 1})
     blocked = hs([2, 1, 0, 3], [{2}, {1, 0}], blocked=[{2, 1}])
-    assert minimal_hitting_set(blocked) == frozenset({2, 0})
+    assert mhs(blocked) == frozenset({2, 0})
     # declaration order prefers A over T instead; still deterministic
-    assert minimal_hitting_set(hs([0, 1, 2, 3], [{2}, {1, 0}])) == frozenset({0, 2})
+    assert mhs(hs([0, 1, 2, 3], [{2}, {1, 0}])) == frozenset({0, 2})
 
 
 def test_empty_to_hit_blocked_empty_set():
-    assert minimal_hitting_set(hs([0, 1], [], blocked=[set()])) is None
-    assert minimal_hitting_set(hs([0, 1], [])) == frozenset()
+    assert mhs(hs([0, 1], [], blocked=[set()])) is None
+    assert mhs(hs([0, 1], [])) == frozenset()
 
 
 def test_unhittable():
-    assert minimal_hitting_set(hs([0, 1], [set()])) is None
-    assert minimal_hitting_set(hs([0, 1], [{0}], blocked=[{0}])) is None
+    assert mhs(hs([0, 1], [set()])) is None
+    assert mhs(hs([0, 1], [{0}], blocked=[{0}])) is None
 
 
 def test_outside_universe_rejected():
-    with pytest.raises(ValueError) as expected:
-        hs([0], [{5}])
-    for add in (HittingSetSolver([0]).add_to_hit, HittingSetSolver([0]).add_blocked):
-        with pytest.raises(ValueError) as raised:
-            add({0, 5})
-        assert str(raised.value) == str(expected.value)
+    # a mask with a bit at position n or above names no element
+    for add in (HittingSetSolver(1).add_to_hit, HittingSetSolver(1).add_blocked):
+        for mask in (0b10, 0b11, -1):
+            with pytest.raises(ValueError):
+                add(mask)
+    with pytest.raises(ValueError):
+        minimal_hitting_set(2, [0b100])
 
 
 def test_budget():
     universe = list(range(20))
     sets = [set(universe[i:i + 10]) for i in range(10)]
     with pytest.raises(BudgetExceeded):
-        minimal_hitting_set(hs(universe, sets), budget=3)
+        mhs(hs(universe, sets), budget=3)
 
 
 def test_smallest_mode():
     inst = hs([0, 1, 2, 3], [{0, 1}, {1, 2}, {2, 3}])
-    assert minimal_hitting_set(inst, smallest=True) == frozenset({0, 2})
+    assert mhs(inst, smallest=True) == frozenset({0, 2})
     # a case where subset-minimal-first and minimum-cardinality differ
     chain = hs([0, 1, 2], [{0, 1}, {0, 2}])
-    assert minimal_hitting_set(chain) in ({frozenset({0})} | {frozenset({1, 2})})
-    assert minimal_hitting_set(chain, smallest=True) == frozenset({0})
+    assert mhs(chain) in ({frozenset({0})} | {frozenset({1, 2})})
+    assert mhs(chain, smallest=True) == frozenset({0})
 
 
 def test_iterated_enumeration_matches_exhaustive():
@@ -120,7 +161,7 @@ def test_result_is_minimal_and_hits(data):
     to_hit = data.draw(st.lists(
         st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=6
     ))
-    found = minimal_hitting_set(hs(universe, to_hit))
+    found = mhs(hs(universe, to_hit))
     assert found is not None
     assert all(found & s for s in map(frozenset, to_hit))
     for e in found:
@@ -136,7 +177,7 @@ def test_smallest_is_minimum_cardinality():
             set(rng.sample(universe, rng.randint(1, n)))
             for _ in range(rng.randint(1, 6))
         ]
-        smallest = minimal_hitting_set(hs(universe, to_hit), smallest=True)
+        smallest = mhs(hs(universe, to_hit), smallest=True)
         family = exhaustive_minimal_hitting_sets(universe, to_hit)
         assert len(smallest) == min(len(h) for h in family)
 
@@ -146,7 +187,7 @@ def test_large_universe_needs_no_recursion():
     # interpreter's recursion limit here
     universe = list(range(1500))
     to_hit = [{e, e + 700} for e in range(0, 1500 - 700, 100)] + [{1499}]
-    found = minimal_hitting_set(hs(universe, to_hit))
+    found = mhs(hs(universe, to_hit))
     assert found is not None
     assert all(found & frozenset(s) for s in to_hit)
 
@@ -164,8 +205,8 @@ def test_blocked_search_matches_berge_reference(data):
         t for t in minimal_transversals(to_hit)
         if not any(b <= t for b in blocked)
     }
-    found = minimal_hitting_set(inst)
-    smallest = minimal_hitting_set(inst, smallest=True)
+    found = mhs(inst)
+    smallest = mhs(inst, smallest=True)
     if not allowed:
         assert found is None and smallest is None
         return
@@ -186,7 +227,7 @@ def test_solver_matches_fresh_search_after_every_step(data):
     n = data.draw(st.integers(1, 16))
     universe = data.draw(st.permutations(range(n)))
     smallest = data.draw(st.booleans())
-    solver = HittingSetSolver(universe, smallest=smallest)
+    solver = ElementSolver(universe, smallest=smallest)
     subsets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6)
     to_hit, blocked = [], []
     transversals = {frozenset()}
@@ -208,8 +249,8 @@ def test_solver_matches_fresh_search_after_every_step(data):
                 blocked.append(found)
                 solver.add_blocked(found)
             if op != "hit":
-                masks = [solver._mask(b) for b in blocked]
-                assert not any(m & chosen == m for chosen, _ in solver._stack
+                masks = [to_mask(solver.universe, b) for b in blocked]
+                assert not any(m & chosen == m for chosen, _ in solver.solver._stack
                                for m in masks)
         found = solver.next()
         asked = True
@@ -221,8 +262,7 @@ def test_solver_matches_fresh_search_after_every_step(data):
             if smallest:
                 assert len(found) == min(len(t) for t in allowed)
         if not hit_after_asking:
-            assert found == minimal_hitting_set(hs(universe, to_hit, blocked),
-                                                smallest=smallest)
+            assert found == mhs(hs(universe, to_hit, blocked), smallest=smallest)
 
 
 @settings(deadline=None, max_examples=200)
@@ -240,7 +280,7 @@ def test_enumeration_loop_blocks_every_minimal_transversal_once(data):
         st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6),
         min_size=1, max_size=10))
     smallest = data.draw(st.booleans())
-    solver = HittingSetSolver(universe, smallest=smallest)
+    solver = ElementSolver(universe, smallest=smallest)
     blocked = []
     while (found := solver.next()) is not None:
         missed = [s for s in hidden if not s & found]
@@ -300,7 +340,7 @@ def test_node_counts_are_pinned():
         counts = []
         for smallest in (False, True):
             def first(budget):
-                minimal_hitting_set(inst, smallest, budget)
+                mhs(inst, smallest, budget)
 
             def every(budget):
                 every_minimal_hitting_set(inst, smallest, budget)

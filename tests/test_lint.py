@@ -1,5 +1,6 @@
 """Static checks on the package sources, with the standard library only."""
 import ast
+import builtins
 import dataclasses
 import importlib
 import re
@@ -64,7 +65,10 @@ def test_unused_import_check_finds_and_excuses():
 def _stale_references(text: str, classes: dict[str, type]) -> list[str]:
     """Each backticked `Class.attr` in `text` whose `Class` is one of
     `classes` but has neither an attribute nor a dataclass field `attr`.
-    Names that are not in `classes`, such as `BENCHMARK.json`, are skipped."""
+    Names that are not in `classes`, such as `BENCHMARK.json`, are skipped.
+    Then each bare backticked CapWords name, `Name` or `Name()`, that is
+    neither in `classes` nor a builtin; all-caps names such as `BENCHMARK`
+    are not CapWords."""
     stale = []
     for name, attr in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)[^`\n]*`", text):
         cls = classes.get(name)
@@ -73,6 +77,9 @@ def _stale_references(text: str, classes: dict[str, type]) -> list[str]:
         if not (dataclasses.is_dataclass(cls)
                 and attr in {f.name for f in dataclasses.fields(cls)}):
             stale.append(f"{name}.{attr}")
+    for name in re.findall(r"`([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)(?:\(\))?`", text):
+        if name not in classes and not hasattr(builtins, name):
+            stale.append(name)
     return stale
 
 
@@ -109,6 +116,12 @@ def test_stale_reference_check_finds_and_skips():
     assert _stale_references(text, {"Tree": Tree}) == ["Tree.arrays", "Tree.gone"]
     assert _stale_references("`TreeStructure.arrays`", _dualxp_classes()) == [
         "TreeStructure.arrays"]
+    bare = ("`Tree` and `Tree()` exist and `ValueError` is a builtin; `Gone`\n"
+            "and `Gone()` do not; `BENCHMARK`, `XDUAL_BUDGET`, `Tree(x)`,\n"
+            "`Tree nodes` and Gone are skipped")
+    assert _stale_references(bare, {"Tree": Tree}) == ["Gone", "Gone"]
+    assert _stale_references("`HittingSetInstance` and `HittingSetSolver`",
+                             _dualxp_classes()) == ["HittingSetInstance"]
 
 
 DYNAMIC_CODE = {"eval", "exec", "compile"}

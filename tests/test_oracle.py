@@ -9,7 +9,8 @@ import pytest
 from conftest import (A, L, READS, SKIPS, T, W, ascending_ranges,
                       first_target_path, random_shared_tree, shared_chain,
                       shared_children_tree)
-from dualxp.explain import check_cxp, extract_axp, extract_cxp, make_problem
+from dualxp.dual import enumerate_all
+from dualxp.explain import AXp, check_cxp, extract_axp, extract_cxp, make_problem
 from dualxp.hitting import BudgetExceeded
 import dualxp.model as model_module
 from dualxp.model import (INLINE_DEPTH, AdditiveEnsemble, DecisionTree,
@@ -61,7 +62,7 @@ def test_queries_reject_instances_that_do_not_fit(poole, query):
         assert oracle.stats.total_calls == 0
 
 
-def test_loops_read_their_features_once(poole):
+def test_loops_read_their_features_once(poole, e2):
     # a generator of candidates or of the grow order serves as a list does
     ensemble = synthetic_ensemble(n_features=6, trees_per_class=3)
     for model in (poole, ensemble):
@@ -76,6 +77,12 @@ def test_loops_read_their_features_once(poole):
         grown = oracle.maximal_reaching(instance, (), (f for f in range(n)), targets)
         assert grown == oracle.maximal_reaching(instance, (), list(range(n)), targets)
         assert len(grown) > 0
+    # so does a generator of the order given to the extract and enumerate
+    # calls, which check it before they run their loops on it
+    problem = make_problem(Oracle(poole), e2)
+    for call in (extract_axp, extract_cxp, enumerate_all):
+        assert call(problem, (f for f in range(4))) == call(problem, list(range(4)))
+    assert extract_axp(problem, list(range(4))) == AXp(frozenset({T, L}))
 
 
 def test_predict_constant(constant_tree):
@@ -540,10 +547,15 @@ def test_disagreement_walk_matches_naive_reference():
         cases.append((model, [random_instance(rng, space).values for _ in range(4)]))
     for model, points in cases:
         for values in points:
+            # the walk's masks give feature f the bit of a shuffled position
+            n = len(values)
+            position = rng.sample(range(n), n)
+            bits = [1 << p for p in position]
             others = set(range(model.n_classes)) - {raw_predict(model, values)}
             for r in range(1, len(others) + 1):
                 for targets in map(frozenset, itertools.combinations(sorted(others), r)):
-                    found = _tree_disagreement_sets(model.tree, values, targets)
+                    masks = _tree_disagreement_sets(model.tree, values, targets, bits)
+                    found = [frozenset(f for f in range(n) if m & bits[f]) for m in masks]
                     assert len(set(found)) == len(found)
                     assert set(found) == _naive_disagreement_sets(model.tree, values, targets)
 
