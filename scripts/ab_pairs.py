@@ -10,8 +10,12 @@ standard output is read: the JSON summary with the end-to-end metrics.  It then 
 that the change's BENCHMARK.json lists: each side's median with its
 quartiles, the change of the median, in how many pairs the change was the
 better one, whether the medians differ by more than the distance between
-the parent's quartiles, and whether the change's median is worse than the
-parent's by more than the metric's `bound` (a share of the parent's median).
+the parent's quartiles, whether that counts as a gain, and whether the
+change's median is worse than the parent's by more than the metric's
+`bound` (a share of the parent's median).  A gain needs the change to be
+better in at least nine tenths of the pairs (ties count for neither) and
+its median to be better than the parent's, in the metric's better
+direction, by more than the distance between the parent's quartiles.
 That last column reads `unresolved` instead of `no` when the parent's
 quartiles lie further apart than the bound, so the runs cannot show a
 change of that size, unless every run of the change is better than every
@@ -93,8 +97,8 @@ def main(argv=None) -> int:
 
     n = len(args.seeds)
     print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change | change wins | beyond parent IQR | worse beyond bound |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| change | change wins | beyond parent IQR | gain | worse beyond bound |")
+    print("|---|---|---|---|---|---|---|---|---|")
     attempted = {"name": "attempted", "better": "higher", "bound": None}
     for metric in spec["end_to_end"] + [attempted]:
         name = metric["name"]
@@ -107,6 +111,7 @@ def main(argv=None) -> int:
         delta = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
         beyond = "yes" if abs(cm - pm) > p3 - p1 else "no"
         worse_by = (cm - pm) if lower else (pm - cm)
+        gain = "yes" if 10 * wins >= 9 * n and -worse_by > p3 - p1 else "no"
         bound = None if metric["bound"] is None else metric["bound"] * abs(pm)
         all_better = (max(change) < min(parent)) if lower else (min(change) > max(parent))
         if bound is None:
@@ -119,7 +124,7 @@ def main(argv=None) -> int:
             regressed = "no"
         print(f"| {args.workload} | {name} | {fmt(pm)} [{fmt(p1)}, {fmt(p3)}] "
               f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} "
-              f"| {regressed} |")
+              f"| {gain} | {regressed} |")
     return 0
 
 

@@ -1,19 +1,43 @@
-"""Exact minimal-hitting-set solver used by the dual enumeration engine.
+"""Exact minimal-hitting-set search used by the dual enumeration engine,
+in two forms that share one branching rule: `minimal_hitting_sets` lists
+the minimal hitting sets of a fixed family of sets, and `HittingSetSolver`
+answers as sets to hit and blocked sets arrive.
 
-`HittingSetSolver` takes sets and returns answers as Python `int` masks
-over n positions, bit i standing for position i (the enumeration gives
-feature `order[i]` position i).  Sets to hit and blocked sets (sets the
-answer may not cover) are added one at a time, and `next()` returns a
-subset-minimal hitting set that covers no blocked set.  An
-explicit-stack depth-first search branches on the unhit set with the
-fewest still-allowed elements (ties go to the lowest set index): its
-allowed elements are tried in ascending position, and each later sibling
-excludes the earlier ones, so no hitting set is reached twice.  A state is
-pruned when some unhit set has no allowed element left, and a child that
-covers a blocked set is dropped.  The first hitting set found is shrunk to
-a subset-minimal one by dropping elements in ascending position.  With
-`smallest=True` the search is instead repeated under a growing cap on the
-chosen set's size (iterative deepening), with no shrink needed.
+Both take sets and give answers as Python `int` masks over n positions,
+bit i standing for position i (the enumeration gives feature `order[i]`
+position i).  Each is an explicit-stack depth-first search that branches
+on the first not-yet-hit set with the fewest elements still allowed, and
+tries those elements in ascending position.
+
+`minimal_hitting_sets` is MMCS (Murakami and Uno, *Efficient algorithms
+for dualizing large-scale hypergraphs*, Discrete Applied Mathematics
+2014), used for a decision tree, whose whole CXp family is known before
+the first answer.  A state is `(chosen, cand, uncov, crit)`: the chosen
+mask, the mask of elements it may still add, the mask of the indices of
+the sets it has not hit, and per chosen element the mask of the indices
+of the sets that only that element hits.  `hits[e]`, the mask of the
+indices of the sets that hold position e, is built once and updates both
+masks.  A child whose new element would leave some chosen element with no
+set of its own is dropped, since no superset of it is minimal, so every
+state with no set left to hit is a minimal hitting set, yielded as it is
+popped.  A child may add the branch elements tried before its own but none
+tried after, so each minimal hitting set is reached once, under the last
+branch element it holds, with no blocked sets and no shrink.  With
+`smallest=True` the search runs in passes under a growing cap on the
+chosen set's size, and a pass yields only answers of exactly its cap:
+smaller ones came in earlier passes.  It stops after the first pass in
+which no state reached the cap.
+
+`HittingSetSolver` serves an ensemble, whose CXps arrive one by one.  Sets
+to hit and blocked sets (sets the answer may not cover) are added one at a
+time, and `next()` returns a subset-minimal hitting set that covers no
+blocked set.  Each later sibling excludes the earlier ones, so no hitting
+set is reached twice.  A state is pruned when some unhit set has no
+allowed element left, and a child that covers a blocked set is dropped.
+The first hitting set found is shrunk to a subset-minimal one by dropping
+elements in ascending position.  With `smallest=True` the search is
+instead repeated under a growing cap on the chosen set's size (iterative
+deepening), with no shrink needed.
 
 One depth-first search serves every `next()` call: it resumes from the
 saved stack, which still holds the last answer's own state on top.  The
@@ -27,12 +51,13 @@ set to hit is added after an answer, later answers may come in another
 order than a fresh search would give, but the family is the same.
 
 Exact and deterministic for fixed input order.  The node budget counts the
-states popped by one `next()` call (a resumed call counts only its own), and
-guards against desk-scale blowups.
+states popped while looking for one answer (by one `next()` call, or
+between two answers of `minimal_hitting_sets`), and guards against
+desk-scale blowups.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_NODE_BUDGET = 10 ** 7
 
@@ -59,19 +84,15 @@ class HittingSetSolver:
         self._stack = [self._root()]
         self._cap = 0  # smallest mode: the size cap of the current search
 
-    def _check(self, m: int) -> None:
-        if m >> self.n:
-            raise ValueError(f"mask {m} has a bit at position {self.n} or above")
-
     def add_to_hit(self, m: int) -> None:
         """Require every later answer to hit the mask `m`."""
-        self._check(m)
+        _check(self.n, m)
         self._empty = self._empty or not m  # an empty set can never be hit
         self._sets.append(m)
 
     def add_blocked(self, m: int) -> None:
         """Forbid every later answer to cover the mask `m`."""
-        self._check(m)
+        _check(self.n, m)
         self._empty = self._empty or not m  # every set covers the empty set
         self._stack = [st for st in self._stack if st[0] & m != m]
         rest = m
@@ -144,6 +165,83 @@ class HittingSetSolver:
                     children.append((child, allowed))
                 allowed ^= low  # later siblings exclude this element
             stack.extend(reversed(children))
+
+
+def minimal_hitting_sets(n: int, sets: Sequence[int], smallest: bool = False,
+                         budget: int = DEFAULT_NODE_BUDGET) -> Iterator[int]:
+    """Yield every minimal hitting set of the fixed masks `sets` over `n`
+    positions exactly once, by MMCS (see the module docstring), in
+    depth-first order; with `smallest=True` by size, then in that order.
+    An empty family yields the empty mask, and a family holding the empty
+    mask yields nothing.  BudgetExceeded when more than `budget` states are
+    popped while looking for one answer, or for the end."""
+    sets = list(sets)
+    hits = [0] * n  # per position, a bit for each set index that holds it
+    for j, s in enumerate(sets):
+        _check(n, s)
+        while s:
+            low = s & -s
+            s ^= low
+            hits[low.bit_length() - 1] |= 1 << j
+    indexed = [(1 << j, s) for j, s in enumerate(sets)]
+    root = (0, (1 << n) - 1, (1 << len(sets)) - 1, ())
+    cap = 0 if smallest else n
+    more = n + 1  # more than any set's candidates
+    nodes = 0
+    while True:
+        cut = False  # a state of this pass stopped at the cap
+        stack = [root]
+        push = stack.append
+        while stack:
+            if nodes >= budget:
+                raise BudgetExceeded(f"hitting-set search exceeded {budget} nodes")
+            nodes += 1
+            chosen, cand, uncov, crit = stack.pop()
+            if not uncov:
+                # smaller answers came in earlier passes
+                if not smallest or len(crit) == cap:
+                    yield chosen
+                    nodes = 0
+                continue
+            if len(crit) >= cap:
+                cut = True
+                continue
+            # branch on the first uncovered set with the fewest candidates.
+            # The scan stops at one with a single candidate, which is forced:
+            # a later set with none left kills its one child as it would
+            # have killed this state, so only the node count differs
+            branch = None
+            fewest = more
+            for bit, s in indexed:
+                if uncov & bit:
+                    s &= cand
+                    size = s.bit_count()
+                    if size < fewest:
+                        branch, fewest = s, size
+                        if size < 2:
+                            break
+            # children are pushed from the highest element down, so they pop
+            # in ascending position.  Each may add the branch elements below
+            # its own but none above: an answer comes under the highest
+            # branch element it holds, so no answer comes twice
+            rest = cand & ~branch
+            while branch:
+                top = 1 << (branch.bit_length() - 1)
+                branch ^= top
+                h = hits[top.bit_length() - 1]
+                # every chosen element must keep a set that only it hits
+                kept = [c & ~h for c in crit]
+                if 0 not in kept:
+                    kept.append(uncov & h)
+                    push((chosen | top, rest | branch, uncov & ~h, tuple(kept)))
+        if not (smallest and cut):
+            return
+        cap += 1
+
+
+def _check(n: int, m: int) -> None:
+    if m >> n:
+        raise ValueError(f"mask {m} has a bit at position {n} or above")
 
 
 def _covers(family: Iterable[int], mask: int) -> bool:

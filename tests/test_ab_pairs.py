@@ -78,26 +78,60 @@ def test_medians_wins_and_attempted_row(tmp_path, capsys):
         if name == "peak_rss_mb":
             # 12 against 10 is worse by more than its bound of 10%
             assert rows[name] == ["10 [10, 10]", "12 [12, 12]", "+20.0%", "0/3",
-                                  "yes", "yes"]
+                                  "yes", "no", "yes"]
         elif name == "setup_s":
             # 6, 10 and 14: quartiles 4 apart against a bound of 2.5, and
             # the change is not better in every run, so no verdict
             assert rows[name] == ["10 [8, 12]", "9 [8.5, 10.5]", "-10.0%", "2/3",
-                                  "no", "unresolved"]
+                                  "no", "no", "unresolved"]
         elif name == "axp_ms_p50":
-            # 14, 20 and 30 spread as widely, but every change run is better
+            # 14, 20 and 30 spread as widely, but every change run is better:
+            # a gain
             assert rows[name] == ["20 [17, 25]", "9 [8.5, 10.5]", "-55.0%", "3/3",
-                                  "yes", "no"]
+                                  "yes", "yes", "no"]
         else:
             # 8, 9 and 12 against 10: the lower the better wins two pairs
             wins = "2/3" if better[name] == "lower" else "1/3"
             assert rows[name] == ["10 [10, 10]", "9 [8.5, 10.5]", "-10.0%", wins,
-                                  "yes", "no"]
+                                  "yes", "no", "no"]
     assert rows["attempted"] == ["100 [100, 100]", "120 [105, 125]", "+20.0%",
-                                 "2/3", "yes", "n/a"]
+                                 "2/3", "yes", "no", "n/a"]
     # the side that runs first alternates from one seed to the next
     assert (tmp_path / "order.log").read_text().split("\n") == [
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3", ""]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_in_the_better_direction(tmp_path, capsys):
+    ab_pairs = _load_ab_pairs()
+    seeds = range(1, 11)
+    # the parent reads 10 in every run but on axp_ms_p50, which spreads
+    parent = _checkout(tmp_path, "parent", {
+        str(s): _summary(10.0, 100, axp_ms_p50=v)
+        for s, v in zip(seeds, (9, 10, 10, 10, 10, 11, 11, 11, 12, 12))})
+    # the change reads 8 in nine runs of ten, but 8 only in eight on
+    # setup_s, and 9.5 in every run on axp_ms_p50
+    change = _checkout(tmp_path, "change", {
+        str(s): _summary(8.0 if s < 10 else 12.0, 100,
+                         setup_s=8.0 if s < 9 else 12.0, axp_ms_p50=9.5)
+        for s in seeds})
+    assert ab_pairs.main([str(parent), str(change), "--workload", "w",
+                          "--seeds", "1-10"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    for name in METRICS:
+        wins, beyond, gain = rows[name][3:6]
+        if name == "setup_s":
+            # 8 of 10 pairs is too few, though the medians lie far apart
+            assert (wins, beyond, gain) == ("8/10", "yes", "no")
+        elif name == "axp_ms_p50":
+            # 9 of 10 pairs, but the medians lie within the parent's spread
+            assert (wins, beyond, gain) == ("9/10", "no", "no")
+        elif better[name] == "lower":
+            assert (wins, beyond, gain) == ("9/10", "yes", "yes")
+        else:
+            # 8 against 10 is worse where higher is better: beyond the
+            # parent's spread, but no gain
+            assert (wins, beyond, gain) == ("1/10", "yes", "no")
 
 
 @pytest.mark.parametrize("bad", [{"correct": False}, {"failed": 2}])

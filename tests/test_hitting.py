@@ -12,6 +12,7 @@ from dualxp.hitting import (
     BudgetExceeded,
     HittingSetSolver,
     minimal_hitting_set,
+    minimal_hitting_sets,
 )
 
 # The solver works on int masks over positions; these tests state their
@@ -61,6 +62,14 @@ def mhs(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
     return to_elements(u, minimal_hitting_set(
         len(u), [to_mask(u, s) for s in inst.to_hit],
         [to_mask(u, b) for b in inst.blocked], smallest, budget))
+
+
+def fixed_family_hitting_sets(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
+    """Every answer of `minimal_hitting_sets` on the masks of `inst.to_hit`,
+    in the order it yields them, as sets of elements."""
+    u = inst.universe
+    return [to_elements(u, m) for m in minimal_hitting_sets(
+        len(u), [to_mask(u, s) for s in inst.to_hit], smallest, budget)]
 
 
 def every_minimal_hitting_set(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
@@ -121,6 +130,8 @@ def test_outside_universe_rejected():
                 add(mask)
     with pytest.raises(ValueError):
         minimal_hitting_set(2, [0b100])
+    with pytest.raises(ValueError):
+        list(minimal_hitting_sets(2, [0b01, 0b100]))
 
 
 def test_budget():
@@ -187,9 +198,13 @@ def test_large_universe_needs_no_recursion():
     # interpreter's recursion limit here
     universe = list(range(1500))
     to_hit = [{e, e + 700} for e in range(0, 1500 - 700, 100)] + [{1499}]
-    found = mhs(hs(universe, to_hit))
+    inst = hs(universe, to_hit)
+    found = mhs(inst)
     assert found is not None
     assert all(found & frozenset(s) for s in to_hit)
+    every = fixed_family_hitting_sets(inst)
+    assert len(every) == len(set(every))
+    assert set(every) == minimal_transversals(inst.to_hit)
 
 
 @settings(deadline=None, max_examples=200)
@@ -213,6 +228,29 @@ def test_blocked_search_matches_berge_reference(data):
     assert found in allowed
     assert smallest in allowed
     assert len(smallest) == min(len(t) for t in allowed)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_fixed_family_search_matches_berge_reference(data):
+    # MMCS on a fixed family, as a tree's enumeration runs it: every minimal
+    # transversal once, by size with smallest=True.  Sets may be empty: an
+    # empty family has the one empty answer, and one holding the empty set
+    # has none
+    n = data.draw(st.integers(1, 12))
+    universe = data.draw(st.permutations(range(n)))
+    to_hit = data.draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=6),
+                                max_size=10))
+    expected = minimal_transversals(to_hit)
+    for smallest in (False, True):
+        found = fixed_family_hitting_sets(hs(universe, to_hit), smallest)
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+        if smallest:
+            assert [len(h) for h in found] == sorted(len(h) for h in found)
+        assert list(minimal_hitting_sets(n, [], smallest)) == [0]
+        masks = [to_mask(universe, s) for s in to_hit]
+        assert list(minimal_hitting_sets(n, masks + [0], smallest)) == []
 
 
 @settings(deadline=None, max_examples=200)
@@ -351,3 +389,40 @@ def test_node_counts_are_pinned():
                     run(k - 1)
                 counts.append(k)
         assert tuple(counts) == pinned
+
+
+# per family: the fewest nodes for the first answer of `minimal_hitting_sets`
+# and for all of them (the most popped between two answers, or after the
+# last), without and with smallest=True
+PINNED_FIXED_FAMILY_NODES = [
+    (8, 8, 119, 119), (4, 4, 22, 33), (7, 7, 37, 99), (5, 5, 18, 18),
+    (5, 5, 19, 109), (5, 5, 22, 127), (7, 7, 41, 72), (6, 6, 38, 38),
+    (3, 4, 8, 20), (5, 5, 11, 52),
+]
+
+
+def test_fixed_family_node_counts_are_pinned():
+    rng = random.Random(2025)
+    counts = []
+    for _ in range(10):
+        n = rng.randint(10, 18)
+        universe = rng.sample(range(n), n)
+        inst = hs(universe, [rng.sample(range(n), rng.randint(2, 6))
+                             for _ in range(rng.randint(6, 14))])
+        family = []
+        for smallest in (False, True):
+            def first(budget):
+                answers = minimal_hitting_sets(
+                    n, [to_mask(universe, s) for s in inst.to_hit], smallest, budget)
+                next(answers)
+
+            def every(budget):
+                fixed_family_hitting_sets(inst, smallest, budget)
+
+            for run in (first, every):
+                k = fewest_nodes(run)
+                with pytest.raises(BudgetExceeded):
+                    run(k - 1)
+                family.append(k)
+        counts.append(tuple(family))
+    assert counts == PINNED_FIXED_FAMILY_NODES
