@@ -23,7 +23,7 @@ from .dual import BudgetExceeded, _format_set, enumerate_all, iterate_explanatio
 from .explain import (AXp, CXp, check_axp, check_cxp, cxp_witness, extract_axp,
                       extract_cxp, make_problem, targeted_cxp)
 from .hitting import DEFAULT_NODE_BUDGET
-from .model import Classifier, FeatureSpace, Instance, ModelError
+from .model import Classifier, DecisionTree, FeatureSpace, Instance, ModelError
 from .modelio import ParseError, parse_instances, parse_model
 from .oracle import DEFAULT_COMPLETION_CAP, Oracle
 from .reporting import collect_stats
@@ -175,7 +175,10 @@ def cmd_enum(args) -> int:
         found = iterate_explanations(problem, order=order, smallest=args.smallest,
                                      mhs_budget=mhs_budget)
         if args.mode == "cxp":
-            found = (e for e in found if isinstance(e, CXp))
+            # a tree's stream lists every CXp before its first AXp
+            keep = (itertools.takewhile if isinstance(classifier, DecisionTree)
+                    else filter)
+            found = keep(lambda e: isinstance(e, CXp), found)
         records = itertools.islice(found, args.limit or None)
         if args.sort_size:
             records = sorted(records, key=lambda e: (

@@ -2,27 +2,27 @@
 hitting-set duality, plus the duality verifier and brute-force reference
 implementations.
 
-The AXps are exactly the minimal hitting sets of the CXps.  A decision tree
-gets its complete CXp family from one walk of its paths (each CXp is a
-minimal disagreement set of a path to a target leaf), so its AXps are the
-minimal hitting sets of a fixed family: `hitting.minimal_hitting_sets`
-lists them by MMCS, with no oracle query, no blocked sets and no shrink.
-An ensemble's CXps are found one at a time, so one loop of the
-implicit-hitting-set scheme enumerates both families: propose a minimal
-hitting set of the CXps known so far that covers no AXp found so far, then
-settle it.  One grow call settles it: the grow loop of
+The AXps are exactly the minimal hitting sets of the CXps, so one loop
+over the MMCS search `hitting.minimal_hitting_sets` enumerates both
+families.  A decision tree gets its complete CXp family from one walk of
+its paths (each CXp is a minimal disagreement set of a path to a target
+leaf), so every answer of the search over that fixed family is an AXp and
+no oracle query settles anything.  An ensemble's CXps are found one at a
+time, so its search starts from no CXp, and each answer, a minimal hitting
+set of the CXps known so far, is settled by one grow call: the grow loop of
 `Oracle.maximal_reaching` from the candidate kept, run without that
 method's checks (`Oracle._grow`), since the instance and the order are
 checked once per enumeration.  It finds no target completion if the
 candidate is a new AXp, and otherwise grows it to a maximal kept set whose
 complement is a new CXp disjoint from the candidate, guaranteeing
-progress.  Its searches try the instance's value first;
-`find_counterexample` is not called.
+progress.  That CXp is appended to the family the search reads, and the
+search goes on from the candidate.  The grow's searches try the instance's
+value first; `find_counterexample` is not called.
 From the tree walk through the hitting-set search a feature set is an int
 mask over the positions of the feature order, turned into features once,
 when yielded.  `iterate_explanations` is the one entry point, a lazy
-stream: a CXp-only enumeration is its output with the AXps left out, and
-`enumerate_all` drains it.
+stream: a CXp-only enumeration is its output with the AXps left out (a
+tree's CXps all come before its first AXp), and `enumerate_all` drains it.
 """
 from __future__ import annotations
 
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 from .explain import AXp, CXp, ExplanationProblem, _order
-from .hitting import (DEFAULT_NODE_BUDGET, BudgetExceeded, HittingSetSolver,
-                      minimal_hitting_sets)
+from .hitting import DEFAULT_NODE_BUDGET, BudgetExceeded, minimal_hitting_sets
 from .hitting import minimal_hitting_set  # noqa: F401  (perfbench's tracer patches it here)
 from .model import Classifier, DecisionTree, Instance, ModelError
 from .oracle import _tree_disagreement_sets, raw_predict
@@ -75,31 +74,12 @@ def iterate_explanations(problem: ExplanationProblem,
     features' positions in `order`; its AXps follow, the minimal hitting
     sets of those CXps in the depth-first order of
     `hitting.minimal_hitting_sets` (by size first with `smallest=True`).
-    An ensemble runs one `HittingSetSolver`: each AXp is blocked in it and
-    each CXp is added as a set to hit.  It asks the oracle about each
-    answer, and yields the two kinds interleaved as it finds them.
+    An ensemble's search starts from no CXp.  It asks the oracle about each
+    answer, which is an AXp or grows into a new CXp that joins the family
+    the search reads, and yields the two kinds interleaved as it finds them.
     """
-    tau = problem.instance
-    oracle = problem.oracle
-    oracle.space.check_instance(tau)
-    ord_ = _order(problem, order)
-    targets = problem.targets
-    bits = [0] * len(ord_)  # per feature, the bit of its position in `ord_`
-    for i, f in enumerate(ord_):
-        bits[f] = 1 << i
-    found: Iterator[Union[AXp, CXp]]
-    if isinstance(oracle.classifier, DecisionTree):
-        # the walk finds the complete CXp family, so the AXps are its
-        # minimal hitting sets and no oracle query settles anything
-        cxps = sorted(_tree_disagreement_sets(oracle.classifier.tree, tau.values,
-                                              targets, bits),
-                      key=lambda m: (m.bit_count(), _positions(m)))
-        found = itertools.chain(
-            (CXp(_features(m, ord_), targets) for m in cxps),
-            (AXp(_features(m, ord_)) for m in minimal_hitting_sets(
-                len(ord_), cxps, smallest, mhs_budget)))
-    else:
-        found = _ensemble_explanations(problem, ord_, bits, smallest, mhs_budget)
+    problem.oracle.space.check_instance(problem.instance)
+    found = _explanations(problem, _order(problem, order), smallest, mhs_budget)
     for reported, explanation in enumerate(found, 1):
         if reported > DEFAULT_MAX_EXPLANATIONS:
             raise BudgetExceeded(
@@ -107,29 +87,40 @@ def iterate_explanations(problem: ExplanationProblem,
         yield explanation
 
 
-def _ensemble_explanations(problem: ExplanationProblem, ord_: list[int],
-                           bits: list[int], smallest: bool, mhs_budget: int,
-                           ) -> Iterator[Union[AXp, CXp]]:
-    """The implicit-hitting-set loop: each solver answer is settled by one
-    grow call, as an AXp or as the seed of a new CXp."""
+def _explanations(problem: ExplanationProblem, ord_: list[int], smallest: bool,
+                  mhs_budget: int) -> Iterator[Union[AXp, CXp]]:
+    """The one loop over `hitting.minimal_hitting_sets`: a tree's answers
+    are its AXps; an ensemble settles each by one grow call, as an AXp or as
+    the seed of a new CXp, which joins the family the search reads."""
     values = problem.instance.values
     oracle = problem.oracle
     targets = problem.targets
-    solver = HittingSetSolver(len(ord_), smallest, mhs_budget)
-    while (candidate := solver.next()) is not None:
-        fixed = [bool(candidate & b) for b in bits]
-        if not oracle._grow(values, fixed, ord_, targets):
-            # no completion of the candidate reaches the targets, and
-            # minimality among hitting sets of the CXps found so far makes
-            # it an AXp
-            solver.add_blocked(candidate)
-            yield AXp(_features(candidate, ord_))
-        else:
-            # the grow kept the candidate, so the CXp it leaves out is
-            # disjoint from it: progress is guaranteed
-            free = [f for f, k in enumerate(fixed) if not k]
-            solver.add_to_hit(sum(bits[f] for f in free))
-            yield CXp(frozenset(free), targets)
+    bits = [0] * len(ord_)  # per feature, the bit of its position in `ord_`
+    for i, f in enumerate(ord_):
+        bits[f] = 1 << i
+    tree = isinstance(oracle.classifier, DecisionTree)
+    cxps: list[int] = []
+    if tree:
+        # the walk finds the complete CXp family, so the AXps are its
+        # minimal hitting sets and no oracle query settles anything
+        cxps = sorted(_tree_disagreement_sets(oracle.classifier.tree, values,
+                                              targets, bits),
+                      key=lambda m: (m.bit_count(), _positions(m)))
+        for m in cxps:
+            yield CXp(_features(m, ord_), targets)
+    for candidate in minimal_hitting_sets(len(ord_), cxps, smallest, mhs_budget):
+        if not tree:
+            fixed = [bool(candidate & b) for b in bits]
+            if oracle._grow(values, fixed, ord_, targets):
+                # the grow kept the candidate, so the CXp it leaves out is
+                # disjoint from it: progress is guaranteed
+                free = [f for f, k in enumerate(fixed) if not k]
+                cxps.append(sum(bits[f] for f in free))
+                yield CXp(frozenset(free), targets)
+                continue
+        # a minimal hitting set of the CXps found so far, none of whose
+        # completions reaches the targets, is an AXp
+        yield AXp(_features(candidate, ord_))
 
 
 def _positions(mask: int) -> list[int]:

@@ -25,7 +25,7 @@ from dualxp.explain import (
     make_problem,
     targeted_cxp,
 )
-from dualxp.hitting import HittingSetSolver
+from dualxp.hitting import minimal_hitting_sets
 from dualxp.model import Instance
 from dualxp.modelio import parse_instances, parse_model, serialize_model
 from dualxp.oracle import Oracle
@@ -187,15 +187,18 @@ def test_criterion_6_mhs_exactness():
             frozenset(rng.sample(universe, rng.randint(1, n)))
             for _ in range(rng.randint(1, 10))
         )
-        # one solver, each answer blocked, as the enumeration loop drives it;
-        # element e has position e, so its bit in a mask is 1 << e
-        solver = HittingSetSolver(n)
-        for s in to_hit:
-            solver.add_to_hit(sum(1 << e for e in s))
-        found = []
-        while (h := solver.next()) is not None:
-            found.append(frozenset(e for e in universe if h >> e & 1))
-            solver.add_blocked(h)
+        # the search driven as the enumeration loop drives it on an
+        # ensemble: it starts from no set, and each answer that misses a set
+        # to hit is followed by appending the first one it misses; element e
+        # has position e, so its bit in a mask is 1 << e
+        masks = [sum(1 << e for e in s) for s in to_hit]
+        sets, found = [], []
+        for h in minimal_hitting_sets(n, sets):
+            missed = [m for m in masks if not m & h]
+            if missed:
+                sets.append(missed[0])
+            else:
+                found.append(frozenset(e for e in universe if h >> e & 1))
         got = set(found)
         hitting = [
             frozenset(c)

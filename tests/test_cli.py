@@ -406,6 +406,35 @@ def test_shared_split_chain(tmp_path):
     assert [r["literals"] for r in records if r["kind"] == "cxp"] == [{"x59": "a"}]
 
 
+def test_tree_cxp_mode_stops_at_the_first_axp(capsys, tmp_path):
+    # AND over 17 pairs of (a_i OR b_i), 34 splits sharing children: an
+    # all-1 row has the 17 CXps {a_i, b_i} and 2^17 AXps, more than an
+    # enumeration may report, and a tree lists every CXp before any AXp
+    pairs = 17
+    features = [{"name": f"{x}{i}", "domain": ["0", "1"]}
+                for i in range(pairs) for x in "ab"]
+    no, yes = 2 * pairs, 2 * pairs + 1
+    nodes = []
+    for i in range(pairs):
+        after = 2 * i + 2 if i + 1 < pairs else yes
+        nodes.append({"feature": f"a{i}", "children": {"0": 2 * i + 1, "1": after}})
+        nodes.append({"feature": f"b{i}", "children": {"0": no, "1": after}})
+    nodes += [{"class": "no"}, {"class": "yes"}]
+    model = tmp_path / "pairs.json"
+    model.write_text(json.dumps({
+        "format_version": 1, "kind": "tree", "features": features,
+        "classes": ["no", "yes"], "root": 0, "nodes": nodes,
+    }))
+    inst = tmp_path / "row.csv"
+    inst.write_text(",".join(f["name"] for f in features) + "\n"
+                    + ",".join(["1"] * 2 * pairs) + "\n")
+    code, out, err = run(capsys, "enum", "--mode", "cxp", "-m", str(model),
+                         "-i", str(inst))
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["literals"] for line in out.splitlines()] == [
+        {f"a{i}": "1", f"b{i}": "1"} for i in range(pairs)]
+
+
 def test_internal_error_exit_code(capsys, monkeypatch, poole_file, e2_file):
     def broken(*args, **kwargs):
         raise RuntimeError("simulated defect")
@@ -502,15 +531,15 @@ def test_byte_stability(capsys, poole_file, all16_file):
 BUNDLED_ENSEMBLE_DIGESTS = {
     "axp": "6902ef53d857ad4c0a00b049c20bdc8a01048b434a07cf336785d339a7dcce9d",
     "cxp": "50f1d017e672f0b36d6375bdb771070b12258ec206772f20af9f5975f23e3964",
-    "enum": "233954459e1e4e96a60e14fb83d8c3b1a02b83bf43aa150753c840213b151a13",
+    "enum": "d65f01ef82364d5348bdfa65415bcf23e0acfa623a2dce0ba199a444057e0c24",
     "enum --sort-size":
         "99e7525f6650228ce2eeb976e6fac58086e63659ef20863da5450369a98ef3e7",
     "enum --order reversed":
-        "cfb39bc45d9c540637e2ae3dde0e8c7a7592ad6aba20b1b8eb502c41bee0b2b2",
+        "fb78480e6617218a290f03984112f835e96210e307be65976c20ec6efd1e436d",
     "enum --smallest":
-        "bfab0a8134a3e35aa0c157c9b3497c82fcce41021495208b3483e62cebe5bcda",
+        "d384a4be26baa9f17b23143e6d53a9408f15bf11b4fb008c26da840317acf435",
     "enum --smallest --order reversed":
-        "15be69c52180a668e5d1ca985aff953d92b7665117f4f1fc9270e626ed297684",
+        "80dc4db80a3de31ff3a0f9ca40521d28ac051bef5db82bc35d579bb520158694",
     "verify": "a627c9ce72ceed92203d156ef0621bbf8f8cba910ea51c970ff3604b4d261050",
     "stats": "c88d0a9c7865ffd946f388788241275db2a024e97326e17d0b40e2c5111a7701",
 }

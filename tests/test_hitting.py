@@ -1,6 +1,8 @@
 import collections
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,13 @@ from dualxp.dual import minimal_transversals
 from dualxp.hitting import (
     DEFAULT_NODE_BUDGET,
     BudgetExceeded,
-    HittingSetSolver,
     minimal_hitting_set,
     minimal_hitting_sets,
 )
 
-# The solver works on int masks over positions; these tests state their
+CHECK_DUALIZATION = Path(__file__).resolve().parents[1] / "scripts" / "check_dualization.py"
+
+# The search works on int masks over positions; these tests state their
 # cases as sets of element ids over a `universe`, in which element
 # `universe[i]` has position i, and convert at this boundary.
 Problem = collections.namedtuple("Problem", "universe to_hit blocked")
@@ -38,24 +41,6 @@ def to_elements(universe, mask):
         e for i, e in enumerate(universe) if mask >> i & 1)
 
 
-class ElementSolver:
-    """`HittingSetSolver` over the elements of `universe`: sets go in and
-    answers come out as frozensets of elements."""
-
-    def __init__(self, universe, smallest=False, budget=DEFAULT_NODE_BUDGET):
-        self.universe = tuple(universe)
-        self.solver = HittingSetSolver(len(self.universe), smallest, budget)
-
-    def add_to_hit(self, s):
-        self.solver.add_to_hit(to_mask(self.universe, s))
-
-    def add_blocked(self, s):
-        self.solver.add_blocked(to_mask(self.universe, s))
-
-    def next(self):
-        return to_elements(self.universe, self.solver.next())
-
-
 def mhs(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
     """`minimal_hitting_set` on the masks of `inst`, as a set of elements."""
     u = inst.universe
@@ -73,17 +58,20 @@ def fixed_family_hitting_sets(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
 
 
 def every_minimal_hitting_set(inst, smallest=False, budget=DEFAULT_NODE_BUDGET):
-    """One solver driven as the enumeration loop drives it: each answer is
-    blocked, which excludes exactly its supersets, and the search resumes."""
-    solver = ElementSolver(inst.universe, smallest, budget)
-    for s in inst.to_hit:
-        solver.add_to_hit(s)
-    for b in inst.blocked:
-        solver.add_blocked(b)
-    found = []
-    while (h := solver.next()) is not None:
-        found.append(h)
-        solver.add_blocked(h)
+    """`minimal_hitting_sets` driven as the enumeration loop drives it on an
+    ensemble, with `inst.to_hit` as the hidden family: the search starts
+    from no set, an answer that hits every hidden set is kept, and otherwise
+    the first hidden set it misses is appended.  The kept answers, in order,
+    as sets of elements."""
+    u = inst.universe
+    hidden = [to_mask(u, s) for s in inst.to_hit]
+    sets, found = [], []
+    for h in minimal_hitting_sets(len(u), sets, smallest, budget):
+        missed = [s for s in hidden if not s & h]
+        if missed:
+            sets.append(missed[0])
+        else:
+            found.append(to_elements(u, h))
     return found
 
 
@@ -123,11 +111,17 @@ def test_unhittable():
 
 
 def test_outside_universe_rejected():
-    # a mask with a bit at position n or above names no element
-    for add in (HittingSetSolver(1).add_to_hit, HittingSetSolver(1).add_blocked):
-        for mask in (0b10, 0b11, -1):
-            with pytest.raises(ValueError):
-                add(mask)
+    # a mask with a bit at position n or above names no element, whether it
+    # is given at the start, appended after an answer, or blocked
+    for mask in (0b10, 0b11, -1):
+        sets = [0b1]
+        answers = minimal_hitting_sets(1, sets)
+        assert next(answers) == 0b1
+        sets.append(mask)
+        with pytest.raises(ValueError):
+            next(answers)
+        with pytest.raises(ValueError):
+            minimal_hitting_set(1, [0b1], [mask])
     with pytest.raises(ValueError):
         minimal_hitting_set(2, [0b100])
     with pytest.raises(ValueError):
@@ -135,8 +129,9 @@ def test_outside_universe_rejected():
 
 
 def test_budget():
+    # ten disjoint pairs: the first answer takes one state per pair and the root
     universe = list(range(20))
-    sets = [set(universe[i:i + 10]) for i in range(10)]
+    sets = [set(universe[i:i + 2]) for i in range(0, 20, 2)]
     with pytest.raises(BudgetExceeded):
         mhs(hs(universe, sets), budget=3)
 
@@ -255,87 +250,38 @@ def test_fixed_family_search_matches_berge_reference(data):
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
-def test_solver_matches_fresh_search_after_every_step(data):
-    # one solver driven through random interleavings of adds and next().
-    # Each answer is a minimal transversal of the sets to hit that covers no
-    # blocked set, of minimum size with smallest=True, and None only when
-    # there is none.  While every set to hit came before the first next(),
-    # as on a tree, each answer equals a fresh search on everything added so
-    # far.  After each block no saved state covers a blocked set
-    n = data.draw(st.integers(1, 16))
-    universe = data.draw(st.permutations(range(n)))
-    smallest = data.draw(st.booleans())
-    solver = ElementSolver(universe, smallest=smallest)
-    subsets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6)
-    to_hit, blocked = [], []
-    transversals = {frozenset()}
-    found = None
-    asked = hit_after_asking = False
-    for _ in range(data.draw(st.integers(1, 25), label="steps")):
-        ops = data.draw(st.lists(st.sampled_from(["hit", "block", "block found"]),
-                                 max_size=3), label="ops")
-        for op in ops:
-            if op == "hit":
-                to_hit.append(data.draw(subsets))
-                solver.add_to_hit(to_hit[-1])
-                transversals = minimal_transversals(to_hit)
-                hit_after_asking = asked
-            elif op == "block" or found is None:
-                blocked.append(data.draw(subsets))
-                solver.add_blocked(blocked[-1])
-            else:  # the enumeration loop blocks each answer it accepts
-                blocked.append(found)
-                solver.add_blocked(found)
-            if op != "hit":
-                masks = [to_mask(solver.universe, b) for b in blocked]
-                assert not any(m & chosen == m for chosen, _ in solver.solver._stack
-                               for m in masks)
-        found = solver.next()
-        asked = True
-        allowed = {t for t in transversals if not any(b <= t for b in blocked)}
-        if not allowed:
-            assert found is None
-        else:
-            assert found in allowed
-            if smallest:
-                assert len(found) == min(len(t) for t in allowed)
-        if not hit_after_asking:
-            assert found == mhs(hs(universe, to_hit, blocked), smallest=smallest)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.data())
 def test_enumeration_loop_blocks_every_minimal_transversal_once(data):
-    # the solver driven as `iterate_explanations` drives it on an ensemble,
-    # against a hidden family: an answer that hits every hidden set is
-    # blocked, as an AXp is; otherwise a hidden set disjoint from it is
-    # added, as a CXp is.  The blocked answers are exactly the minimal
-    # transversals of the hidden family, each blocked once, and with
-    # smallest=True they come in non-decreasing size
+    # the search driven as `iterate_explanations` drives it on an ensemble,
+    # against a hidden family: it starts from no set, an answer that hits
+    # every hidden set is accepted, as an AXp is, and otherwise a hidden set
+    # disjoint from it is appended, as a CXp is.  The accepted answers are
+    # exactly the minimal transversals of the hidden family, each accepted
+    # once, and with smallest=True they come in non-decreasing size
     n = data.draw(st.integers(1, 12))
     universe = data.draw(st.permutations(range(n)))
     hidden = data.draw(st.lists(
         st.frozensets(st.integers(0, n - 1), min_size=1, max_size=6),
         min_size=1, max_size=10))
     smallest = data.draw(st.booleans())
-    solver = ElementSolver(universe, smallest=smallest)
-    blocked = []
-    while (found := solver.next()) is not None:
+    sets = []
+    accepted = []
+    for h in minimal_hitting_sets(n, sets, smallest):
+        found = to_elements(universe, h)
         missed = [s for s in hidden if not s & found]
         if missed:
-            solver.add_to_hit(data.draw(st.sampled_from(missed)))
+            sets.append(to_mask(universe, data.draw(st.sampled_from(missed))))
         else:
-            blocked.append(found)
-            solver.add_blocked(found)
-    assert len(blocked) == len(set(blocked))
-    assert set(blocked) == minimal_transversals(hidden)
+            accepted.append(found)
+    assert len(accepted) == len(set(accepted))
+    assert set(accepted) == minimal_transversals(hidden)
     if smallest:
-        assert [len(b) for b in blocked] == sorted(len(b) for b in blocked)
+        assert [len(b) for b in accepted] == sorted(len(b) for b in accepted)
 
 
 def fewest_nodes(run):
     """The smallest node budget under which `run(budget)` finishes; the
-    budget counts the states one `next()` call pops, so more is never worse."""
+    budget counts the states popped between two answers, so more is never
+    worse."""
     lo, hi = 0, 1
     while True:
         try:
@@ -351,44 +297,6 @@ def fewest_nodes(run):
         except BudgetExceeded:
             lo = mid
     return hi
-
-
-# per case: the fewest nodes for the first answer and for a whole iterated
-# enumeration (the most any one next() pops), without and with smallest=True
-PINNED_NODES = [
-    (6, 11, 22, 904), (4, 4, 15, 107), (4, 4, 9, 216), (2, 2, 29, 29),
-    (7, 11, 49, 828), (5, 5, 16, 350), (4, 5, 13, 121), (6, 6, 34, 250),
-    (6, 10, 52, 1459), (4, 4, 14, 99),
-]
-
-
-def test_node_counts_are_pinned():
-    # how many states the search pops is its branching and pruning; the
-    # fresh-search comparison above cannot see a change there, because its
-    # reference runs the same search
-    rng = random.Random(2024)
-    for i, pinned in enumerate(PINNED_NODES):
-        n = rng.randint(10, 18)
-        universe = rng.sample(range(n), n)
-        to_hit = [rng.sample(range(n), rng.randint(2, 6))
-                  for _ in range(rng.randint(6, 14))]
-        blocked = [] if i % 2 == 0 else [rng.sample(range(n), rng.randint(1, 4))
-                                         for _ in range(rng.randint(2, 8))]
-        inst = hs(universe, to_hit, blocked)
-        counts = []
-        for smallest in (False, True):
-            def first(budget):
-                mhs(inst, smallest, budget)
-
-            def every(budget):
-                every_minimal_hitting_set(inst, smallest, budget)
-
-            for run in (first, every):
-                k = fewest_nodes(run)
-                with pytest.raises(BudgetExceeded):
-                    run(k - 1)
-                counts.append(k)
-        assert tuple(counts) == pinned
 
 
 # per family: the fewest nodes for the first answer of `minimal_hitting_sets`
@@ -426,3 +334,56 @@ def test_fixed_family_node_counts_are_pinned():
                 family.append(k)
         counts.append(tuple(family))
     assert counts == PINNED_FIXED_FAMILY_NODES
+
+
+# per hidden family: the fewest nodes for the whole growing search as
+# `every_minimal_hitting_set` drives it (the most popped between two
+# answers, or after the last), without and with smallest=True
+PINNED_GROWING_FAMILY_NODES = [
+    (2, 10), (7, 33), (5, 95), (4, 24), (7, 53), (2, 7), (4, 34), (4, 19),
+    (6, 48), (4, 39),
+]
+
+
+def test_growing_family_node_counts_are_pinned():
+    # how many states the search pops is its branching, its pruning and its
+    # refreshing of saved states; the Berge comparisons cannot see a change
+    # there
+    rng = random.Random(2026)
+    counts = []
+    for _ in range(10):
+        n = rng.randint(10, 18)
+        universe = rng.sample(range(n), n)
+        inst = hs(universe, [rng.sample(range(n), rng.randint(2, 6))
+                             for _ in range(rng.randint(6, 14))])
+        family = []
+        for smallest in (False, True):
+            def every(budget):
+                every_minimal_hitting_set(inst, smallest, budget)
+
+            k = fewest_nodes(every)
+            with pytest.raises(BudgetExceeded):
+                every(k - 1)
+            family.append(k)
+        counts.append(tuple(family))
+    assert counts == PINNED_GROWING_FAMILY_NODES
+
+
+def _check_dualization():
+    spec = importlib.util.spec_from_file_location("check_dualization", CHECK_DUALIZATION)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_oracle_choice_on_every_small_clutter(capsys):
+    # scripts/check_dualization.py at 4 elements: every choice of appended
+    # set, on every clutter, in both modes, against Berge
+    check = _check_dualization()
+    assert check.main(["4"]) == 0
+    assert capsys.readouterr().out == "n=4: 167 clutters, 1656 runs, all match Berge\n"
+    # a search that never yields {0, 1} fails on the clutter {{0}, {1}}
+    search = check.minimal_hitting_sets
+    check.minimal_hitting_sets = lambda *args: (h for h in search(*args) if h != 0b11)
+    assert check.main(["2"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL: clutter [1, 2], smallest=False")

@@ -120,8 +120,8 @@ def test_stale_reference_check_finds_and_skips():
             "and `Gone()` do not; `BENCHMARK`, `XDUAL_BUDGET`, `Tree(x)`,\n"
             "`Tree nodes` and Gone are skipped")
     assert _stale_references(bare, {"Tree": Tree}) == ["Gone", "Gone"]
-    assert _stale_references("`HittingSetInstance` and `HittingSetSolver`",
-                             _dualxp_classes()) == ["HittingSetInstance"]
+    assert _stale_references("`HittingSetSolver` and `BudgetExceeded`",
+                             _dualxp_classes()) == ["HittingSetSolver"]
 
 
 DYNAMIC_CODE = {"eval", "exec", "compile"}
