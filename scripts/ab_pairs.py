@@ -3,9 +3,11 @@
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload tree-large --seeds 401-410
 
-For each seed it runs each checkout's own `perfbench/run.py` once, for the
-run length its BENCHMARK.json sets, the two one right after the other, and
-alternates which of them goes first.  Only the last line of a run's
+`--workload all` runs, one after the other, every workload that the
+change's BENCHMARK.json lists, and prints their rows in one table.  For
+each workload and seed it runs each checkout's own `perfbench/run.py`
+once, for the run length its BENCHMARK.json sets, the two one right after
+the other, and alternates which of them goes first.  Only the last line of a run's
 standard output is read: the JSON summary with the end-to-end metrics.  It then prints one Markdown table row per metric
 that the change's BENCHMARK.json lists: each side's median with its
 quartiles, the change of the median, in how many pairs the change was the
@@ -55,11 +57,11 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     try:
         summary = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        sys.exit(f"ab_pairs: {checkout} seed {seed} gave no JSON summary "
+        sys.exit(f"ab_pairs: {checkout} {workload} seed {seed} gave no JSON summary "
                  f"(exit {proc.returncode}):\n{proc.stderr}")
     if proc.returncode or not summary["correct"] or summary["failed"]:
         # a wrong or failing run measures something else: stop, take no medians
-        sys.exit(f"ab_pairs: {checkout} seed {seed}: exit {proc.returncode}, "
+        sys.exit(f"ab_pairs: {checkout} {workload} seed {seed}: exit {proc.returncode}, "
                  f"correct {summary['correct']}, failed {summary['failed']}\n"
                  f"{proc.stderr}")
     values = {m: v["value"] for m, v in summary["metrics"].items()}
@@ -78,27 +80,10 @@ def fmt(v: float) -> str:
     return f"{v:,.0f}" if abs(v) >= 1000 else f"{v:.4g}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=parse_seeds,
-                        help="seed range such as 401-410, or a comma list")
-    args = parser.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i, seed in enumerate(args.seeds):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            print(f"ab_pairs: seed {seed} {side}", file=sys.stderr)
-            runs[side].append(run_once(sides[side], args.workload, seed))
-
-    n = len(args.seeds)
-    print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
-          "| change | change wins | beyond parent IQR | gain | worse beyond bound |")
-    print("|---|---|---|---|---|---|---|---|---|")
+def table_rows(workload: str, spec: dict, runs: dict[str, list[dict]]) -> list[str]:
+    """One table row per end-to-end metric of `spec`, then `attempted`."""
+    n = len(runs["parent"])
+    rows = []
     attempted = {"name": "attempted", "better": "higher", "bound": None}
     for metric in spec["end_to_end"] + [attempted]:
         name = metric["name"]
@@ -122,9 +107,39 @@ def main(argv=None) -> int:
             regressed = "unresolved"
         else:
             regressed = "no"
-        print(f"| {args.workload} | {name} | {fmt(pm)} [{fmt(p1)}, {fmt(p3)}] "
-              f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} "
-              f"| {gain} | {regressed} |")
+        rows.append(f"| {workload} | {name} | {fmt(pm)} [{fmt(p1)}, {fmt(p3)}] "
+                    f"| {fmt(cm)} [{fmt(c1)}, {fmt(c3)}] | {delta} | {wins}/{n} | {beyond} "
+                    f"| {gain} | {regressed} |")
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name, or all for every one in BENCHMARK.json")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="seed range such as 401-410, or a comma list")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    workloads = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+                 else [args.workload])
+
+    rows = []
+    for workload in workloads:
+        runs: dict[str, list[dict]] = {"parent": [], "change": []}
+        for i, seed in enumerate(args.seeds):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                print(f"ab_pairs: {workload} seed {seed} {side}", file=sys.stderr)
+                runs[side].append(run_once(sides[side], workload, seed))
+        rows += table_rows(workload, spec, runs)
+
+    print("| workload | metric | parent median [q1, q3] | change median [q1, q3] "
+          "| change | change wins | beyond parent IQR | gain | worse beyond bound |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    print("\n".join(rows))
     return 0
 
 

@@ -7,13 +7,16 @@ MMCS (Murakami and Uno, *Efficient algorithms for dualizing large-scale
 hypergraphs*, Discrete Applied Mathematics 2014): an explicit-stack
 depth-first search that branches on the first unhit set with the fewest
 elements still allowed, and tries those elements in ascending position.
+The branch scan walks the set bits of the state's unhit-set mask, lowest
+index first, so it reads only the sets still unhit.
 
 A state is `(chosen, cand, uncov, crit, seen)`: the chosen mask, the mask
 of elements it may still add, the mask of the indices of the sets it has
 not hit, per chosen element in ascending position the mask of the indices
 of the sets that only that element hits, and the number of sets those
 masks account for.  `hits[e]`, the mask of the indices of the sets that
-hold position e, updates both masks.  A child whose new element would
+hold position e, updates both masks, and the search reads each set from
+the masks it has indexed (`learnt`).  A child whose new element would
 leave some chosen element with no set of its own is dropped, since no
 superset of it is minimal, so every state with no set left to hit is a
 minimal hitting set, yielded as it is popped.  A child may add the branch
@@ -83,9 +86,9 @@ def minimal_hitting_sets(n: int, sets: list[int], smallest: bool = False,
     for one answer, or for the end; ValueError for a mask with a bit at
     position `n` or above."""
     hits = [0] * n  # per position, a bit for each set index that holds it
-    indexed: list[tuple[int, int]] = []  # (1 << j, sets[j]) per set learnt
-    _learn(n, sets, indexed, hits)
-    known = len(indexed)
+    learnt: list[int] = []  # the masks of `sets` indexed so far
+    _learn(n, sets, learnt, hits)
+    known = len(learnt)
     cap = 0 if smallest else n
     more = n + 1  # more than any set's candidates
     nodes = 0
@@ -99,7 +102,7 @@ def minimal_hitting_sets(n: int, sets: list[int], smallest: bool = False,
             nodes += 1
             chosen, cand, uncov, crit, seen = stack.pop()
             if seen < known:
-                uncov, crit = _refresh(chosen, uncov, crit, indexed[seen:])
+                uncov, crit = _refresh(chosen, uncov, crit, learnt, seen)
             if not uncov:
                 # a leaf below the cap is an earlier pass's answer (see the
                 # module docstring)
@@ -108,29 +111,32 @@ def minimal_hitting_sets(n: int, sets: list[int], smallest: bool = False,
                 yield chosen
                 nodes = 0
                 if len(sets) > known:
-                    _learn(n, sets, indexed, hits)
-                    if any(not s & chosen for _, s in indexed[known:]):
+                    _learn(n, sets, learnt, hits)
+                    if any(not s & chosen for s in learnt[known:]):
                         # not final: the search goes on from the answer
                         push((chosen, cand, uncov, crit, known))
-                    known = len(indexed)
+                    known = len(learnt)
                 continue
             if len(crit) >= cap:
                 cut = True
                 continue
-            # branch on the first uncovered set with the fewest candidates.
-            # The scan stops at one with a single candidate, which is forced:
+            # branch on the first uncovered set with the fewest candidates,
+            # visiting only the uncovered sets, lowest index first.  The
+            # scan stops at one with a single candidate, which is forced:
             # a later set with none left kills its one child as it would
             # have killed this state, so only the node count differs
             branch = None
             fewest = more
-            for bit, s in indexed:
-                if uncov & bit:
-                    s &= cand
-                    size = s.bit_count()
-                    if size < fewest:
-                        branch, fewest = s, size
-                        if size < 2:
-                            break
+            todo = uncov
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                s = learnt[low.bit_length() - 1] & cand
+                size = s.bit_count()
+                if size < fewest:
+                    branch, fewest = s, size
+                    if size < 2:
+                        break
             # children are pushed from the highest element down, so they pop
             # in ascending position.  Each may add the branch elements below
             # its own but none above: an answer comes under the highest
@@ -151,28 +157,29 @@ def minimal_hitting_sets(n: int, sets: list[int], smallest: bool = False,
         cap += 1
 
 
-def _learn(n: int, sets: list[int], indexed: list[tuple[int, int]],
-           hits: list[int]) -> None:
-    """Index the masks of `sets` past the `len(indexed)` already indexed."""
-    for j in range(len(indexed), len(sets)):
+def _learn(n: int, sets: list[int], learnt: list[int], hits: list[int]) -> None:
+    """Index the masks of `sets` past the `len(learnt)` already indexed."""
+    for j in range(len(learnt), len(sets)):
         s = sets[j]
         _check(n, s)
+        learnt.append(s)
         bit = 1 << j
-        indexed.append((bit, s))
         while s:
             low = s & -s
             s ^= low
             hits[low.bit_length() - 1] |= bit
 
 
-def _refresh(chosen: int, uncov: int, crit: tuple[int, ...],
-             newer: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """`uncov` and `crit` of the state `chosen` with the `newer` indexed sets
-    accounted for.  `crit` lists the chosen elements in ascending position,
-    so the one with bit b has index `(chosen & (b - 1)).bit_count()`."""
+def _refresh(chosen: int, uncov: int, crit: tuple[int, ...], learnt: list[int],
+             seen: int) -> tuple[int, tuple[int, ...]]:
+    """`uncov` and `crit` of the state `chosen` with the `learnt` sets from
+    index `seen` on accounted for.  `crit` lists the chosen elements in
+    ascending position, so the one with bit b has index
+    `(chosen & (b - 1)).bit_count()`."""
     out = list(crit)
-    for bit, s in newer:
-        s &= chosen
+    for j in range(seen, len(learnt)):
+        bit = 1 << j
+        s = learnt[j] & chosen
         if not s:
             uncov |= bit
         elif not s & (s - 1):  # hit at one chosen element only

@@ -11,7 +11,9 @@ one classifier shares it:
   one unpack.  The walks search over ranges of values, not single points;
 - an ensemble predicts a point through `AdditiveEnsemble.scorer`, Python
   code generated from its trees' nodes and compiled, in which each tree is
-  one expression of nested conditionals (`_compile_scorer`).
+  one expression of nested conditionals, each class's sum is one statement
+  per chunk of trees, and the argmax is a chain of compares
+  (`_compile_scorer`).
 Splits may share children, so a tree's nodes form a DAG; validation checks
 each node once and requires only that no feature repeats on any path.
 `Leaf` and `Split` use slots, since a large tree holds tens of thousands of
@@ -232,8 +234,9 @@ class AdditiveEnsemble:
     by the lowest class index.  `scale` records the fixed-point factor the
     scores were multiplied by; the arithmetic itself stays exact.  Points
     are predicted by `scorer`, straight-line code compiled once from the
-    trees' nodes, in which a tree is one expression of nested conditionals;
-    no linked form of its trees is built.
+    trees' nodes, in which a tree is one expression of nested conditionals
+    and a class with no trees scores 0; no linked form of its trees is
+    built.
     """
 
     space: FeatureSpace
@@ -344,13 +347,15 @@ def _compile_scorer(ensemble: AdditiveEnsemble) -> Callable[[Sequence[int]], int
     """Build `AdditiveEnsemble.scorer`.  Each class's trees are summed in
     chunks of TREES_PER_CHUNK, each chunk one `lambda v:` over the trees'
     expressions (`_tree_expression`), compiled on its own so that no one
-    source or syntax tree grows with the trees.  One more lambda sums each
-    class's chunks, exactly, as integers, and returns the class with the
-    highest sum, ties to the lowest class index; its source is a flat tuple
-    of chunk calls per class, which nests no deeper however many there are.
+    source or syntax tree grows with the trees.  One more function,
+    `score(v)`, sums each class's chunks exactly, as integers, with one
+    statement per chunk call (`s0 = c0(v)`, `s0 += c1(v)`, ..., and
+    `s1 = 0` for a class with no trees), so its source nests no deeper
+    however many chunks there are.  It then returns the class with the
+    highest sum by compare and branch, ties to the lowest class index.
     ModelError if a leaf score or a split feature is not an int."""
     chunks: dict[str, Callable[[Sequence[int]], int]] = {}
-    sums = []
+    lines = ["def score(v):"]
     for ci, group in enumerate(ensemble.trees):
         calls = []
         for start in range(0, len(group), TREES_PER_CHUNK):
@@ -364,9 +369,17 @@ def _compile_scorer(ensemble: AdditiveEnsemble) -> Callable[[Sequence[int]], int
                                               f"class {ci} tree {ti}"))
             chunk = f"c{len(chunks)}"
             chunks[chunk] = eval("lambda v: " + " + ".join(terms), namespace)
-            calls.append(f"{chunk}(v), ")
-        sums.append(f"sum(({''.join(calls)})), ")
-    return eval(f"lambda v: (s := ({''.join(sums)})).index(max(s))", chunks)
+            calls.append(f"{chunk}(v)")
+        lines.append(f"    s{ci} = {calls[0] if calls else 0}")
+        lines += [f"    s{ci} += {call}" for call in calls[1:]]
+    # the best sum so far is `m`, of class `r`; a later class takes over
+    # only with a strictly higher sum
+    last = len(ensemble.trees) - 1
+    lines.append("    m, r = s0, 0")
+    lines += [f"    if s{ci} > m: m, r = s{ci}, {ci}" for ci in range(1, last)]
+    lines.append(f"    return {last} if s{last} > m else r")
+    exec("\n".join(lines), chunks)
+    return chunks["score"]
 
 
 def _check_tree(space: FeatureSpace, tree: TreeStructure, where: str,

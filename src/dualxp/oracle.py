@@ -226,14 +226,21 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
     do not depend on the path to it, because no feature repeats on a path.
     That rule keeps splits that share children polynomial, where
     remembering only equal masks would not.
+
+    The two tests against `found` read it split in two: its one-feature
+    sets OR-ed into one mask, `single`, since a mask covers a one-feature
+    set exactly when it holds that feature, and its other sets as a list,
+    `multi`.  So a test is one AND and a scan of the larger sets alone.
     """
     found: list[int] = []
+    single = 0  # the one-feature sets of `found`, OR-ed into one mask
+    multi: list[int] = []  # the other sets of `found`
     expanded: dict[int, list[int]] = {}  # linked node id -> masks expanded there
     level = [(tree.linked, 0)]
     while level:
         deeper = []
         for node, mask in level:
-            if _covers(found, mask):
+            if mask & single or _covers(multi, mask):
                 continue
             f, x = node
             while f >= 0:
@@ -246,7 +253,7 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
                     seen.append(mask)
                 agree = values[f]
                 differs = mask | bits[f]
-                if not _covers(found, differs):
+                if not (differs & single or _covers(multi, differs)):
                     for v, kid in enumerate(x):
                         if v != agree:
                             deeper.append((kid, differs))
@@ -254,6 +261,10 @@ def _tree_disagreement_sets(tree: TreeStructure, values: tuple[int, ...],
                 f, x = node
             if f < 0 and x in targets:
                 found.append(mask)
+                if mask and not mask & (mask - 1):
+                    single |= mask
+                else:
+                    multi.append(mask)
         level = deeper
     return found
 

@@ -1,8 +1,7 @@
 """scripts/ab_pairs.py on two stub checkouts whose perfbench/run.py prints a
-fixed summary per seed, so no benchmark runs."""
+fixed summary per seed, or per workload and seed, so no benchmark runs."""
 import importlib.util
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -15,10 +14,12 @@ STUB = '''import json, sys
 from pathlib import Path
 here = Path(__file__).resolve().parent.parent
 seed = sys.argv[sys.argv.index("--seed") + 1]
+workload = sys.argv[sys.argv.index("--workload") + 1]
 with open(here.parent / "order.log", "a") as log:
-    log.write(f"{here.name} {seed}\\n")
+    log.write(f"{here.name} {workload} {seed}\\n")
 print("a progress line before the summary")
-print(json.dumps(json.loads((here / "summaries.json").read_text())[seed]))
+summaries = json.loads((here / "summaries.json").read_text())
+print(json.dumps(summaries.get(workload, summaries)[seed]))
 '''
 
 
@@ -29,11 +30,12 @@ def _load_ab_pairs():
     return module
 
 
-def _checkout(tmp_path, side, summaries):
-    """A stub checkout: BENCHMARK.json and a run.py printing `summaries[seed]`."""
+def _checkout(tmp_path, side, summaries, spec=SPEC):
+    """A stub checkout: `spec` as its BENCHMARK.json, and a run.py printing
+    `summaries[workload][seed]`, or `summaries[seed]` for any workload."""
     root = tmp_path / side
     (root / "perfbench").mkdir(parents=True)
-    shutil.copy(ROOT / "BENCHMARK.json", root / "BENCHMARK.json")
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
     (root / "perfbench" / "run.py").write_text(STUB)
     (root / "summaries.json").write_text(json.dumps(summaries))
     return root
@@ -98,7 +100,36 @@ def test_medians_wins_and_attempted_row(tmp_path, capsys):
                                  "2/3", "yes", "no", "n/a"]
     # the side that runs first alternates from one seed to the next
     assert (tmp_path / "order.log").read_text().split("\n") == [
-        "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3", ""]
+        "parent w 1", "change w 1", "change w 2", "parent w 2", "parent w 3",
+        "change w 3", ""]
+
+
+def test_all_runs_every_workload_of_the_change_into_one_table(tmp_path, capsys):
+    ab_pairs = _load_ab_pairs()
+    # the change lists workloads the parent's BENCHMARK.json does not
+    spec = dict(SPEC, workloads=[{"name": "a"}, {"name": "b"}])
+    parent = _checkout(tmp_path, "parent", {
+        w: {str(s): _summary(10.0, 100) for s in (1, 2)} for w in ("a", "b")},
+        spec=dict(SPEC, workloads=[]))
+    change = _checkout(tmp_path, "change", {
+        "a": {str(s): _summary(8.0, 100) for s in (1, 2)},
+        "b": {str(s): _summary(12.0, 100) for s in (1, 2)}}, spec=spec)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "all",
+                          "--seeds", "1,2"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0].startswith("| workload | metric |") and lines[1].startswith("|---")
+    # one header, then each workload's rows in the order the spec lists them
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in lines[2:]]
+    names = METRICS + ["attempted"]
+    assert [r[:2] for r in rows] == [[w, m] for w in ("a", "b") for m in names]
+    for workload, change_median in (("a", "8"), ("b", "12")):
+        assert {r[3] for r in rows if r[0] == workload and r[1] != "attempted"} == {
+            f"{change_median} [{change_median}, {change_median}]"}
+    # each workload runs its pairs in turn, alternating the side that goes first
+    assert (tmp_path / "order.log").read_text().split("\n") == [
+        "parent a 1", "change a 1", "change a 2", "parent a 2",
+        "parent b 1", "change b 1", "change b 2", "parent b 2", ""]
 
 
 def test_gain_needs_nine_tenths_of_the_pairs_in_the_better_direction(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import itertools
@@ -711,14 +712,18 @@ def test_linked_walk_of_deep_chains():
 
 
 def _spy_on_compiled_sources(monkeypatch):
-    """Record every source the scorer builder compiles."""
+    """Record every source the scorer builder compiles: each chunk's lambda,
+    which it evaluates, and the `score` function, which it executes."""
     sources = []
 
-    def spy(source, namespace):
-        sources.append(source)
-        return eval(source, namespace)
+    def spy(run):
+        def record(source, namespace):
+            sources.append(source)
+            return run(source, namespace)
+        return record
 
-    monkeypatch.setattr(model_module, "eval", spy, raising=False)
+    monkeypatch.setattr(model_module, "eval", spy(eval), raising=False)
+    monkeypatch.setattr(model_module, "exec", spy(exec), raising=False)
     return sources
 
 
@@ -737,17 +742,26 @@ def _scorer_ensemble(rng, n_features, n_classes):
 
 def test_scorer_matches_node_walk_at_every_point():
     rng = random.Random(31)
-    ties = 0
+    # (model, index of its class with no trees, or None)
+    cases = [(_scorer_ensemble(rng, rng.randint(1, 4), n_classes), None)
+             for n_classes in (2, 3) for _ in range(15)]
+    # a class with no trees scores 0, first, in the middle or last
     for n_classes in (2, 3):
-        for _ in range(15):
-            model = _scorer_ensemble(rng, rng.randint(1, 4), n_classes)
-            domains = [range(len(d)) for d in model.space.domains]
-            for values in itertools.product(*domains):
-                assert model.scorer(values) == _reference_predict(model, values)
-                scores = [sum(_node_walk(t, values) for t in group)
-                          for group in model.trees]
-                ties += scores.count(max(scores)) > 1
-    assert ties > 0
+        for empty in range(n_classes):
+            model = _scorer_ensemble(rng, 3, n_classes)
+            trees = model.trees[:empty] + ((),) + model.trees[empty + 1:]
+            cases.append((validated(dataclasses.replace(model, trees=trees)), empty))
+    ties = empty_wins = 0
+    for model, empty in cases:
+        domains = [range(len(d)) for d in model.space.domains]
+        for values in itertools.product(*domains):
+            predicted = model.scorer(values)
+            assert predicted == _reference_predict(model, values)
+            scores = [sum(_node_walk(t, values) for t in group)
+                      for group in model.trees]
+            ties += scores.count(max(scores)) > 1
+            empty_wins += predicted == empty
+    assert ties > 0 and empty_wins > 0
 
 
 def test_scorer_matches_node_walk_on_the_deep_ensemble():
